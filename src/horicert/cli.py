@@ -123,7 +123,7 @@ def build_parser() -> _Parser:
     p.add_argument("arrangement", help="shorthand like lines:P2:m=5 or fn:N=1:a=3:b=4")
     p.add_argument("--format", choices=("json", "dot", "text"), default="text")
 
-    for name, needs_format in (("chern", True), ("genus", True)):
+    for name in ("chern", "genus"):
         p = sub.add_parser(
             name,
             help="Chern numbers of the double cover branched along twice the class"
@@ -136,8 +136,7 @@ def build_parser() -> _Parser:
         p.add_argument("--a", type=int)
         p.add_argument("--b", type=int)
         p.add_argument("--json", help='class literal like {"surface":{"kind":"P2"},"class":{"d":5}}')
-        if needs_format:
-            p.add_argument("--format", choices=("json", "text"), default="text")
+        p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("theorem", help="decide a double-cover hyperbolicity instance")
     p.add_argument("kind", choices=("p2", "fn"))

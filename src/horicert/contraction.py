@@ -19,6 +19,12 @@ verification, an exhaustive memoized decision search, a brute-force test
 oracle, and the constructive procedure that certifies every completely
 multipartite graph whose vertices all have weight >= 2 and at least four
 distinct neighbours.
+
+The rule above is encoded once, in ``_admissible``, for the search,
+verification, absorption and :func:`feasible_l_range`.  The oracle is a
+second, literal encoding that shares no code with it or with
+:func:`contract`, so it can catch a fault in either.  The seed
+certificates ``K1``..``K4`` live only as JSON under ``fixtures/``.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .multigraph import (
     Partition,
     UnknownVertexError,
     WeightedMultigraph,
-    builtin,
     canonical_form,
     find_forbidden_triple,
     is_spanning_submultigraph,
@@ -72,10 +77,16 @@ class ContractionStep:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ContractionStep":
         try:
-            u, v = data["pair"]
-            return cls((u, v), data["l"], data["merged"])
-        except (KeyError, TypeError, ValueError) as exc:
+            pair, l, merged = data["pair"], data["l"], data["merged"]
+        except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed step document: {exc}") from None
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(isinstance(x, str) for x in pair):
+            raise GraphError(f"malformed step document: pair must be two vertex ids, got {pair!r}")
+        if not isinstance(l, int) or isinstance(l, bool):
+            raise GraphError(f"malformed step document: l must be an integer, got {l!r}")
+        if not isinstance(merged, str):
+            raise GraphError(f"malformed step document: merged must be a vertex id, got {merged!r}")
+        return cls(tuple(pair), l, merged)
 
 
 @dataclass(frozen=True)
@@ -161,55 +172,44 @@ def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = 
     return WeightedMultigraph._from_parts(weights, adj)
 
 
-def feasible_l_range(g: WeightedMultigraph, v: str, w: str) -> tuple[int, ...]:
-    """All ``l`` for which contracting the ordered pair ``(v, w)`` is admissible.
+def _admissible(g: WeightedMultigraph, u: str, v: str) -> tuple[int, int, int] | None:
+    """The admissibility rule for the pair ``{u, v}``, as intervals of ``l``.
 
-    Evaluates each defining condition directly for every candidate
-    ``0 <= l < mult(v, w)``.  An empty result means this ordering admits no
-    admissible contraction; the unordered pair is admissible iff one of its
-    two orderings yields a non-empty result.
+    Returns ``None`` when the pair is not adjacent or some bystander has
+    degree below 3.  Otherwise returns ``(lo, hi_uv, hi_vu)``: the ordering
+    ``(u, v)`` admits exactly ``lo <= l <= hi_uv`` and ``(v, u)`` exactly
+    ``lo <= l <= hi_vu`` (an interval may be empty).  The degree conditions
+    ``deg - mult + l >= 3`` give the shared lower end; ``l < mult`` and the
+    weight bounds ``wt(first) >= l + 1``, ``wt(second) >= l + 2`` give the
+    upper ends.  This is the only encoding of the rule on production paths.
     """
-    mult = g.multiplicity(v, w)
-    if v == w or mult < 1:
-        raise NotAdjacentError(f"vertices {v!r} and {w!r} are not adjacent")
-    for x in g.vertices:
-        if x != v and x != w and g.degree(x) < 3:
-            return ()
-    deg_v = g.degree(v)
-    deg_w = g.degree(w)
-    wt_v = g.weight(v)
-    wt_w = g.weight(w)
-    out = []
-    for l in range(mult):
-        if wt_v >= l + 1 and wt_w >= l + 2 and deg_v - mult + l >= 3 and deg_w - mult + l >= 3:
-            out.append(l)
-    return tuple(out)
-
-
-def _best_step(g: WeightedMultigraph, u: str, v: str) -> tuple[int, tuple[str, str]] | None:
-    """Minimal feasible ``l`` over both orderings of ``{u, v}``.
-
-    Interval form of the admissibility conditions; the scan in
-    :func:`feasible_l_range` is the independent cross-check.
-    """
-    mult = g._adj[u].get(v, 0)
+    adj = g._adj
+    mult = adj[u].get(v, 0)
     if mult < 1:
         return None
-    weights = g._weights
-    adj = g._adj
     for x in g._vertices:
         if x != u and x != v and sum(adj[x].values()) < 3:
             return None
-    deg_u = sum(adj[u].values())
-    deg_v = sum(adj[v].values())
-    lo = max(0, 3 - deg_u + mult, 3 - deg_v + mult)
-    if lo >= mult:
-        return None
-    for a, b in ((u, v), (v, u)):
-        hi = min(mult - 1, weights[a] - 1, weights[b] - 2)
-        if lo <= hi:
-            return lo, (a, b)
-    return None
+    lo = max(0, 3 - sum(adj[u].values()) + mult, 3 - sum(adj[v].values()) + mult)
+    wt_u = g._weights[u]
+    wt_v = g._weights[v]
+    return lo, min(mult - 1, wt_u - 1, wt_v - 2), min(mult - 1, wt_v - 1, wt_u - 2)
+
+
+def feasible_l_range(g: WeightedMultigraph, v: str, w: str) -> tuple[int, ...]:
+    """All ``l`` for which contracting the ordered pair ``(v, w)`` is admissible.
+
+    An empty result means this ordering admits no admissible contraction;
+    the unordered pair is admissible iff one of its two orderings yields a
+    non-empty result.
+    """
+    if v == w or g.multiplicity(v, w) < 1:
+        raise NotAdjacentError(f"vertices {v!r} and {w!r} are not adjacent")
+    bounds = _admissible(g, v, w)
+    if bounds is None:
+        return ()
+    lo, hi, _ = bounds
+    return tuple(range(lo, hi + 1))
 
 
 # ------------------------------------------------------------------ verify
@@ -231,9 +231,11 @@ def verify_certificate(cert: ContractionCertificate, require_singleton: bool = T
             raise UnknownVertexError(f"step references missing vertex {v!r}")
         if w not in g:
             raise UnknownVertexError(f"step references missing vertex {w!r}")
-        if v == w or g.multiplicity(v, w) < 1:
+        bounds = _admissible(g, v, w)
+        if bounds is None:
             return False
-        if step.l not in feasible_l_range(g, v, w) and step.l not in feasible_l_range(g, w, v):
+        lo, hi_vw, hi_wv = bounds
+        if not lo <= step.l <= max(hi_vw, hi_wv):
             return False
         g = contract(g, (v, w), step.merged)
     if require_singleton:
@@ -279,10 +281,16 @@ def decide_contractible(
             if key in failed:
                 return None
         for u, v in h.adjacent_pairs():
-            pick = _best_step(h, u, v)
-            if pick is None:
+            bounds = _admissible(h, u, v)
+            if bounds is None:
                 continue
-            l, pair = pick
+            l, hi_uv, hi_vu = bounds
+            if l <= hi_uv:
+                pair = (u, v)
+            elif l <= hi_vu:
+                pair = (v, u)
+            else:
+                continue
             k = name_index
             while f"m{k}" in h:
                 k += 1
@@ -308,27 +316,55 @@ def brute_force_oracle(
 ) -> bool:
     """Independent contractibility oracle: enumerate every sequence.
 
-    No memoization and no pruning beyond per-step admissibility, so the
-    answer is trusted only through the definitions.  Size bounds keep the
-    blow-up harmless; both can be raised explicitly for exhaustive
-    comparison runs.
+    Evaluates the definition literally, one candidate ordering and ``l`` at
+    a time, on its own weight list and multiplicity matrix with its own
+    merge; it shares no code with the search, :func:`contract` or the
+    admissibility kernel, so agreement with the search checks both.  A pair
+    with some admissible candidate is merged once, since the merged graph
+    depends on neither the ordering nor ``l``.  No memoization and no
+    pruning.  Size bounds keep the blow-up harmless; both can be raised
+    explicitly for exhaustive comparison runs.
     """
     if g.vertex_count > max_vertices:
         raise BoundExceededError(f"oracle limited to {max_vertices} vertices")
-    if g.total_multiplicity() > max_total_multiplicity:
+    names = g.vertices
+    adj = g._adj
+    matrix = [[adj[x].get(y, 0) for y in names] for x in names]
+    if sum(map(sum, matrix)) > 2 * max_total_multiplicity:
         raise BoundExceededError(f"oracle limited to total multiplicity {max_total_multiplicity}")
 
-    def exhaust(h: WeightedMultigraph) -> bool:
-        if h.vertex_count == 1:
-            return True
-        for u, v in h.adjacent_pairs():
-            if _best_step(h, u, v) is None:
-                continue
-            if exhaust(contract(h, (u, v))):
-                return True
+    def some_l(wt, deg, a, b, k):
+        for x, y in ((a, b), (b, a)):
+            for l in range(k):
+                if wt[x] >= l + 1 and wt[y] >= l + 2 and deg[x] - k + l >= 3 and deg[y] - k + l >= 3:
+                    return True
         return False
 
-    return exhaust(g)
+    def merge(wt, m, a, b):
+        keep = [x for x in range(len(wt)) if x != a and x != b]
+        rows = [[m[x][y] for y in keep] + [m[x][a] + m[x][b]] for x in keep]
+        rows.append([m[a][y] + m[b][y] for y in keep] + [0])
+        return [wt[x] for x in keep] + [wt[a] + wt[b]], rows
+
+    def exhaust(wt, m) -> bool:
+        n = len(wt)
+        if n == 1:
+            return True
+        deg = [sum(row) for row in m]
+        low = [x for x in range(n) if deg[x] < 3]
+        for a in range(n):
+            for b in range(a + 1, n):
+                k = m[a][b]
+                if (
+                    k
+                    and all(x == a or x == b for x in low)  # every bystander has degree >= 3
+                    and some_l(wt, deg, a, b, k)
+                    and exhaust(*merge(wt, m, a, b))
+                ):
+                    return True
+        return False
+
+    return exhaust([g._weights[x] for x in names], matrix)
 
 
 # ------------------------------------------------------------------ lifting
@@ -352,7 +388,6 @@ def lift_certificate(
     if not verify_certificate(cert):
         raise GraphError("certificate does not verify for its own initial graph")
     phi = dict(embedding)
-    h = cert.initial
     host = g
     out = []
     name_index = 1
@@ -364,7 +399,6 @@ def lift_certificate(
         gm = f"m{name_index}"
         name_index += 1
         host = contract(host, (gv, gw), gm)
-        h = contract(h, (v, w), step.merged)
         del phi[v], phi[w]
         phi[step.merged] = gm
         out.append(ContractionStep((gv, gw), step.l, gm))
@@ -420,7 +454,8 @@ def absorb_submultigraph(
     while current.vertex_count > len(h_set):
         w = min(x for x in current.vertices if x not in h_set)
         targets = [u for u in current.neighbors(w) if u in h_set]
-        if not targets or 0 not in feasible_l_range(current, w, targets[0]):
+        bounds = _admissible(current, w, targets[0]) if targets else None
+        if bounds is None or not bounds[0] == 0 <= bounds[1]:
             raise PreconditionError(
                 f"absorption step for {w!r} is not admissible", witness=w
             )  # unreachable under the checked preconditions
@@ -484,62 +519,13 @@ def contract_multipartite(g: WeightedMultigraph) -> ContractionCertificate:
         ]
     else:
         raise PreconditionError("graph has a single non-adjacency class, so no edges", witness=None)
+    from .fixtures import load_certificate  # fixtures imports this module
+
     prefix, reduced = absorb_submultigraph(g, picks)
     embedding = {f"v{i + 1}": picks[i] for i in range(len(picks))}
-    lifted = lift_certificate(published_certificate(shape), reduced, embedding)
+    lifted = lift_certificate(load_certificate(shape), reduced, embedding)
     cert = ContractionCertificate(g, prefix + lifted.steps)
     if not verify_certificate(cert):
         raise GraphError("internal error: constructed certificate failed verification")
     return cert
 
-
-# ------------------------------------------------------------------ published sequences
-
-
-def published_certificate(name: str) -> ContractionCertificate:
-    """The reference contraction sequences for the seed graphs ``K1``..``K4``.
-
-    ``K1`` and ``K2`` contract explicitly (final weights 10 and 12); ``K3``
-    and ``K4`` reduce to the previous seed by a short prefix followed by a
-    spanning-submultigraph lift.
-    """
-    if name == "K1":
-        steps = (
-            ContractionStep(("v1", "v2"), 0, "m1"),
-            ContractionStep(("v3", "v5"), 0, "m2"),
-            ContractionStep(("v4", "m1"), 1, "m3"),
-            ContractionStep(("m2", "m3"), 3, "m4"),
-        )
-        return ContractionCertificate(builtin("K1"), steps)
-    if name == "K2":
-        steps = (
-            ContractionStep(("v1", "v2"), 0, "m1"),
-            ContractionStep(("v3", "v4"), 0, "m2"),
-            ContractionStep(("v5", "v6"), 0, "m3"),
-            ContractionStep(("m1", "m2"), 0, "m4"),
-            ContractionStep(("m3", "m4"), 3, "m5"),
-        )
-        return ContractionCertificate(builtin("K2"), steps)
-    if name == "K3":
-        g = builtin("K3")
-        prefix = (
-            ContractionStep(("v2", "v3"), 0, "m1"),
-            ContractionStep(("v4", "v5"), 0, "m2"),
-        )
-        reduced = contract(contract(g, ("v2", "v3"), "m1"), ("v4", "v5"), "m2")
-        seed = builtin("K1")
-        embedding = dict(zip(seed.vertices, reduced.vertices))  # complete seed: any bijection works
-        lifted = lift_certificate(published_certificate("K1"), reduced, embedding)
-        return ContractionCertificate(g, prefix + lifted.steps)
-    if name == "K4":
-        g = builtin("K4")
-        prefix = (ContractionStep(("v1", "v2"), 0, "m1"),)
-        reduced = contract(g, ("v1", "v2"), "m1")
-        embedding = {
-            "v1": "m1",
-            "v2": "v3", "v4": "v5", "v6": "v7",
-            "v3": "v4", "v5": "v6", "v7": "v8",
-        }
-        lifted = lift_certificate(published_certificate("K3"), reduced, embedding)
-        return ContractionCertificate(g, prefix + lifted.steps)
-    raise GraphError(f"no published certificate for {name!r}")

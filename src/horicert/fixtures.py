@@ -1,4 +1,11 @@
-"""Bundled reference certificates, shipped as JSON under ``fixtures/``."""
+"""Bundled reference certificates, shipped as JSON under ``fixtures/``.
+
+These files are the only copy of the seed certificates ``K1``..``K4``:
+the multipartite certifier in :mod:`horicert.contraction` lifts them from
+here.  ``K1`` and ``K2`` contract explicitly (final weights 10 and 12);
+``K3`` and ``K4`` reduce to the previous seed by a short prefix followed
+by a spanning-submultigraph lift.
+"""
 
 from __future__ import annotations
 

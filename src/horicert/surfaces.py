@@ -73,11 +73,13 @@ class Surface:
 
     @classmethod
     def from_json_dict(cls, data) -> "Surface":
+        if not isinstance(data, dict):
+            raise ValueError(f"surface must be an object, got {data!r}")
         kind = data.get("kind")
         if kind == "P2":
             return P2
         if kind == "FN":
-            return cls("FN", data["N"])
+            return cls("FN", _int_field(data, "N", "an FN surface"))
         raise ValueError(f"unknown surface kind {kind!r}")
 
     def __str__(self) -> str:
@@ -85,6 +87,16 @@ class Surface:
 
 
 P2 = Surface("P2")
+
+
+def _int_field(data: dict, key: str, what: str) -> int:
+    """``data[key]`` of a parsed JSON object, which must be an integer."""
+    if key not in data:
+        raise ValueError(f"{what} needs the integer field {key!r}")
+    value = data[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} needs an integer {key!r}, got {value!r}")
+    return value
 
 
 def hirzebruch(N: int) -> Surface:
@@ -144,11 +156,11 @@ class DivClass:
 
     @classmethod
     def from_json_dict(cls, data) -> "DivClass":
-        surface = Surface.from_json_dict(data["surface"])
-        body = data["class"]
-        if surface.is_plane:
-            return surface.div(body["d"])
-        return surface.div(body["a"], body["b"])
+        if not isinstance(data, dict) or not isinstance(data.get("class"), dict):
+            raise ValueError(f"class literal needs a \"surface\" and a \"class\" object, got {data!r}")
+        surface = Surface.from_json_dict(data.get("surface"))
+        names = ("d",) if surface.is_plane else ("a", "b")
+        return surface.div(*(_int_field(data["class"], k, f"a class on {surface}") for k in names))
 
     def __str__(self) -> str:
         if self.surface.is_plane:

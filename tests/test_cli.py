@@ -7,7 +7,6 @@ from horicert import (
     WeightedMultigraph,
     builtin,
     canonical_form,
-    published_certificate,
     verify_certificate,
 )
 from horicert.cli import run
@@ -148,7 +147,7 @@ class TestCertVerify:
         assert code == 0
 
     def test_file_round_trip(self, capsys, tmp_path):
-        cert = published_certificate("K3")
+        cert = fixtures.load_certificate("K3")
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(cert.to_json_dict()))
         code, out, _ = invoke(capsys, "cert-verify", str(path))
@@ -156,7 +155,7 @@ class TestCertVerify:
         assert out.strip() == "valid"
 
     def test_corrupted_certificate(self, capsys, tmp_path):
-        doc = published_certificate("K1").to_json_dict()
+        doc = fixtures.load_certificate("K1").to_json_dict()
         doc["steps"][0]["l"] = 1
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(doc))
@@ -167,6 +166,30 @@ class TestCertVerify:
     def test_missing_argument(self, capsys):
         code, _, _ = invoke(capsys, "cert-verify")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pair", ["v1", 2]),
+            ("pair", ["v1", ["v2"]]),
+            ("pair", ["v1"]),
+            ("pair", "v1"),
+            ("l", "0"),
+            ("l", True),
+            ("l", 0.0),
+            ("merged", ["m1"]),
+            ("merged", 1),
+        ],
+    )
+    def test_ill_typed_step_is_malformed(self, capsys, tmp_path, field, value):
+        doc = fixtures.load_certificate("K1").to_json_dict()
+        doc["steps"][0][field] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "cert-verify", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestChermAndGenus:
@@ -197,12 +220,27 @@ class TestChermAndGenus:
         code, _, _ = invoke(capsys, "genus", "fn", "--N", "1")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            {"surface": {"kind": "FN"}, "class": {"a": 1, "b": 2}},
+            {"surface": {"kind": "FN", "N": "1"}, "class": {"a": 1, "b": 2}},
+            {"surface": {"kind": "FN", "N": 1}, "class": {"a": 1}},
+            {"surface": {"kind": "P2"}, "class": {"d": True}},
+            {"surface": {"kind": "P2"}, "class": [5]},
+            {"surface": [1], "class": {"d": 5}},
+            {"class": {"d": 5}},
+            [1],
+        ],
+    )
+    def test_malformed_class_literal(self, capsys, literal):
+        code, out, err = invoke(capsys, "genus", "--json", json.dumps(literal))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestFixtureModule:
-    def test_fixture_matches_published(self):
-        for name in ("K1", "K2", "K3", "K4"):
-            assert fixtures.load_certificate(name) == published_certificate(name)
-
     def test_unknown_fixture(self):
         with pytest.raises(Exception):
             fixtures.load_certificate("K9")

@@ -26,9 +26,10 @@ from horicert import (
     is_spanning_submultigraph,
     lift_certificate,
     multipartite_partition,
-    published_certificate,
     verify_certificate,
 )
+from horicert import contraction
+from horicert.fixtures import load_certificate
 
 
 def two_vertex(w1=1, w2=2, mult=1):
@@ -112,14 +113,14 @@ class TestFeasibleRange:
 class TestVerify:
     def test_published_sequences(self):
         for name, final in (("K1", 10), ("K2", 12), ("K3", 14), ("K4", 16)):
-            cert = published_certificate(name)
+            cert = load_certificate(name)
             assert verify_certificate(cert)
             end = cert.final_graph()
             assert end.is_singleton()
             assert end.weight(end.vertices[0]) == final
 
     def test_first_l_corrupted(self):
-        cert = published_certificate("K1")
+        cert = load_certificate("K1")
         bad = ContractionCertificate(
             cert.initial,
             (ContractionStep(cert.steps[0].pair, 1, cert.steps[0].merged),) + cert.steps[1:],
@@ -127,7 +128,7 @@ class TestVerify:
         assert not verify_certificate(bad)
 
     def test_missing_vertex_raises(self):
-        cert = published_certificate("K1")
+        cert = load_certificate("K1")
         bad = ContractionCertificate(
             cert.initial,
             (ContractionStep(("v1", "zz"), 0, "m1"),) + cert.steps[1:],
@@ -147,7 +148,7 @@ class TestVerify:
         assert not verify_certificate(cert, require_singleton=False)
 
     def test_json_round_trip(self):
-        cert = published_certificate("K3")
+        cert = load_certificate("K3")
         doc = cert.to_json_dict()
         again = ContractionCertificate.from_json_dict(doc)
         assert again == cert
@@ -244,10 +245,35 @@ class TestOracle:
                 g, max_total_multiplicity=18
             )
 
+    def test_oracle_is_independent_of_the_kernel(self, monkeypatch):
+        # Demand wt(second) >= l + 3 where the rule says l + 2.  An oracle
+        # that shared the search's kernel would follow it and agree.
+        kernel = contraction._admissible
+
+        def tightened(g, u, v):
+            bounds = kernel(g, u, v)
+            if bounds is None:
+                return None
+            lo, hi_uv, hi_vu = bounds
+            return lo, min(hi_uv, g.weight(v) - 3), min(hi_vu, g.weight(u) - 3)
+
+        monkeypatch.setattr(contraction, "_admissible", tightened)
+        family = (
+            WeightedMultigraph(dict(zip(names, weights)), [(u, v, m) for (u, v), m in zip(pairs, mults)])
+            for names in ("ab", "abc")
+            for pairs in [list(itertools.combinations(names, 2))]
+            for weights in itertools.product(range(1, 6), repeat=len(names))
+            for mults in itertools.product(range(1, 5), repeat=len(pairs))
+        )
+        assert any(
+            (decide_contractible(g) is not None) != brute_force_oracle(g, max_total_multiplicity=18)
+            for g in family
+        )
+
 
 class TestLift:
     def test_identity_embedding_preserves_steps(self):
-        cert = published_certificate("K1")
+        cert = load_certificate("K1")
         lifted = lift_certificate(cert, cert.initial, {v: v for v in cert.initial.vertices})
         assert [s.pair for s in lifted.steps] == [s.pair for s in cert.steps]
         assert [s.l for s in lifted.steps] == [s.l for s in cert.steps]
@@ -261,7 +287,7 @@ class TestLift:
         seed = builtin("K1")
         emb = dict(zip(seed.vertices, reduced.vertices))
         assert is_spanning_submultigraph(seed, reduced, emb)
-        lifted = lift_certificate(published_certificate("K1"), reduced, emb)
+        lifted = lift_certificate(load_certificate("K1"), reduced, emb)
         assert verify_certificate(lifted)
 
     def test_chained_lift(self):
@@ -269,16 +295,16 @@ class TestLift:
         reduced = contract(builtin("K4"), ("v1", "v2"), "m1")
         emb = {"v1": "m1", "v2": "v3", "v4": "v5", "v6": "v7", "v3": "v4", "v5": "v6", "v7": "v8"}
         assert is_spanning_submultigraph(builtin("K3"), reduced, emb)
-        lifted = lift_certificate(published_certificate("K3"), reduced, emb)
+        lifted = lift_certificate(load_certificate("K3"), reduced, emb)
         assert verify_certificate(lifted)
 
     def test_not_spanning_raises(self):
-        cert = published_certificate("K1")
+        cert = load_certificate("K1")
         with pytest.raises(NotSpanningError):
             lift_certificate(cert, builtin("K2"), {v: v for v in cert.initial.vertices})
 
     def test_invalid_certificate_rejected(self):
-        cert = published_certificate("K1")
+        cert = load_certificate("K1")
         bad = ContractionCertificate(cert.initial, cert.steps[:-1])
         with pytest.raises(GraphError):
             lift_certificate(bad, cert.initial, {v: v for v in cert.initial.vertices})
@@ -406,13 +432,13 @@ class TestContractMultipartite:
 
 class TestPublishedCertificates:
     def test_k1_recorded_values(self):
-        cert = published_certificate("K1")
+        cert = load_certificate("K1")
         assert [s.l for s in cert.steps] == [0, 0, 1, 3]
 
     def test_k2_recorded_values(self):
-        cert = published_certificate("K2")
+        cert = load_certificate("K2")
         assert [s.l for s in cert.steps] == [0, 0, 0, 0, 3]
 
     def test_unknown_name(self):
         with pytest.raises(GraphError):
-            published_certificate("K5")
+            load_certificate("K5")
