@@ -13,10 +13,20 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .multigraph import WeightedMultigraph
+from .multigraph import BoundExceededError, WeightedMultigraph
 from .report import Obligation, axiom, check, group
 from .surfaces import DivClass, P2, Surface, canonical_class, hirzebruch, intersect
 from . import contraction
+
+
+# Largest arrangement built: the YES path costs about m^3 time and m^2
+# memory in the number m of components.
+MAX_COMPONENTS = 256
+
+
+def _check_size(m: int) -> None:
+    if m > MAX_COMPONENTS:
+        raise BoundExceededError(f"arrangement limited to {MAX_COMPONENTS} components, got {m}")
 
 
 class Role(enum.Enum):
@@ -97,18 +107,21 @@ class Arrangement:
 
 
 def general_lines(m: int) -> Arrangement:
-    """``m`` lines in general position in the plane."""
+    """``m`` lines in general position in the plane, ``1 <= m <= MAX_COMPONENTS``."""
     if m < 1:
         raise ValueError(f"need at least one line, got {m}")
+    _check_size(m)
     line = P2.div(1)
     comps = tuple(Component(f"L{i}", Role.LINE, line) for i in range(1, m + 1))
     return Arrangement(P2, comps)
 
 
 def fibers_and_sections(N: int, a: int, b: int) -> Arrangement:
-    """``a`` general fibers and ``b`` general sections on ``F_N``."""
+    """``a`` general fibers and ``b`` general sections on ``F_N``, with
+    ``1 <= a + b <= MAX_COMPONENTS``."""
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError(f"need non-negative counts with at least one component, got {a}, {b}")
+    _check_size(a + b)
     s = hirzebruch(N)
     comps = [Component(f"F{i}", Role.FIBER, s.div(1, 0)) for i in range(1, a + 1)]
     comps += [Component(f"T{j}", Role.SECTION, s.div(0, 1)) for j in range(1, b + 1)]

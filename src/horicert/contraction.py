@@ -15,10 +15,15 @@ A graph is admissibly contractible when some sequence of admissible
 contractions reduces it to a single vertex; a
 :class:`ContractionCertificate` is a replayable witness of such a
 sequence.  This module provides the single-step arithmetic, certificate
-verification, an exhaustive memoized decision search, a brute-force test
-oracle, and the constructive procedure that certifies every completely
+verification, an exhaustive decision search, a brute-force test oracle,
+and the constructive procedure that certifies every completely
 multipartite graph whose vertices all have weight >= 2 and at least four
 distinct neighbours.
+
+The search stops at any state with a vertex that can never be merged
+(degree <= 3 or weight <= 0, see :func:`decide_contractible`) and keys its
+failure memo by the partition of the input's vertices into merged groups,
+which fixes the state exactly and costs no canonical form.
 
 The rule above is encoded once, in ``_admissible``, for the search,
 verification, absorption and :func:`feasible_l_range`.  The oracle is a
@@ -39,7 +44,7 @@ from .multigraph import (
     Partition,
     UnknownVertexError,
     WeightedMultigraph,
-    canonical_form,
+    canonical_form,  # noqa: F401  (unused here; bench/worker.py traces it under this name)
     find_forbidden_triple,
     is_spanning_submultigraph,
     multipartite_partition,
@@ -248,8 +253,6 @@ def verify_certificate(cert: ContractionCertificate, require_singleton: bool = T
 
 # ------------------------------------------------------------------ search
 
-_MEMO_MIN_VERTICES = 5
-
 
 def decide_contractible(
     g: WeightedMultigraph,
@@ -258,11 +261,26 @@ def decide_contractible(
 ) -> ContractionCertificate | None:
     """Exhaustive search for an admissible contraction sequence.
 
-    Depth-first over adjacent pairs in sorted order, memoizing failed
-    states by canonical form, so the returned certificate (with the
-    minimal feasible ``l`` per step) is deterministic.  Returns ``None``
-    only after exhausting every admissible sequence.  ``memo`` may be
-    shared across calls to reuse failure knowledge.
+    Depth-first over adjacent pairs in sorted order, taking the minimal
+    feasible ``l`` per step, so the returned certificate is deterministic.
+    Returns ``None`` only after exhausting every admissible sequence.
+
+    *Viability.*  An endpoint of an admissible step has ``l <= mult - 1``
+    and ``deg - mult + l >= 3``, so degree at least 4, and weight at least
+    ``l + 1 >= 1``.  A contraction leaves every bystander's weight and
+    degree unchanged, so in a graph of two or more vertices a vertex of
+    degree <= 3 or weight <= 0 is never merged and the graph is not
+    contractible.  The search checks every vertex once on entry; after
+    that only the merged vertex of a child is new, its weight is at least
+    ``1 + 2``, and a child whose merged vertex has degree <= 3 is skipped.
+
+    *Memo.*  A state reached from ``g`` is fixed by the partition of
+    ``g``'s vertices into merged groups, since weights and multiplicities
+    add up over groups.  Failed states are recorded as ``(g, partition)``
+    (each group a bit mask over ``g.vertices``) in ``memo``, which may be
+    shared across calls, also for different graphs, to reuse failure
+    knowledge.  Only failing subtrees are cut, so the certificate does not
+    depend on the memo.
     """
     if g.vertex_count > max_vertices:
         raise BoundExceededError(
@@ -270,16 +288,14 @@ def decide_contractible(
         )
     if g.vertex_count == 0:
         return None
+    if g.vertex_count == 1:
+        return ContractionCertificate(g, ())
+    if any(g._weights[x] <= 0 or sum(g._adj[x].values()) <= 3 for x in g._vertices):
+        return None
     failed = memo if memo is not None else set()
 
-    def search(h: WeightedMultigraph, name_index: int) -> list[ContractionStep] | None:
-        if h.vertex_count == 1:
-            return []
-        key = None
-        if h.vertex_count >= _MEMO_MIN_VERTICES:
-            key = canonical_form(h, max_vertices)
-            if key in failed:
-                return None
+    def search(h: WeightedMultigraph, groups: dict[str, int], name_index: int) -> list[ContractionStep] | None:
+        adj = h._adj
         for u, v in h.adjacent_pairs():
             bounds = _admissible(h, u, v)
             if bounds is None:
@@ -295,15 +311,25 @@ def decide_contractible(
             while f"m{k}" in h:
                 k += 1
             merged = f"m{k}"
-            rest = search(contract(h, pair, merged), k + 1)
+            if h.vertex_count == 2:
+                return [ContractionStep(pair, l, merged)]
+            if sum(adj[u].values()) + sum(adj[v].values()) - 2 * adj[u][v] <= 3:
+                continue
+            child = {x: mask for x, mask in groups.items() if x != u and x != v}
+            child[merged] = groups[u] | groups[v]
+            if (g, frozenset(child.values())) in failed:
+                continue
+            rest = search(contract(h, pair, merged), child, k + 1)
             if rest is not None:
                 rest.insert(0, ContractionStep(pair, l, merged))
                 return rest
-        if key is not None:
-            failed.add(key)
+        failed.add((g, frozenset(groups.values())))
         return None
 
-    steps = search(g, 1)
+    root = {x: 1 << i for i, x in enumerate(g._vertices)}
+    if (g, frozenset(root.values())) in failed:
+        return None
+    steps = search(g, root, 1)
     if steps is None:
         return None
     return ContractionCertificate(g, tuple(steps))

@@ -9,6 +9,7 @@ by a spanning-submultigraph lift.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -34,7 +35,11 @@ def fixture_text(name: str) -> str:
     return resources.files(__package__).joinpath("fixtures", filename).read_text(encoding="utf-8")
 
 
+@functools.cache
 def load_certificate(name: str) -> ContractionCertificate:
     """Load a bundled certificate.  ``example-G-step`` is a one-step prefix
-    (it does not reach a singleton); the ``K*`` fixtures are complete."""
+    (it does not reach a singleton); the ``K*`` fixtures are complete.
+
+    Each fixture is read and parsed once per process; certificates are
+    immutable, so every caller can share the same object."""
     return ContractionCertificate.from_json_dict(json.loads(fixture_text(name)))

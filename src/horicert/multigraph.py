@@ -200,12 +200,20 @@ class WeightedMultigraph:
         try:
             vertices = data["vertices"]
             edges = data.get("edges", [])
-            weights = {item["id"]: item["wt"] for item in vertices}
-            if len(weights) != len(vertices):
-                raise GraphError("duplicate vertex id in graph document")
+            items = [(item["id"], item["wt"]) for item in vertices]
             edge_entries = [(e["u"], e["v"], e["mult"]) for e in edges]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph document: {exc}") from None
+        for v, _ in items:
+            if not isinstance(v, str):
+                raise GraphError(f"malformed graph document: vertex id must be a string, got {v!r}")
+        for u, v, _ in edge_entries:
+            for x in (u, v):
+                if not isinstance(x, str):
+                    raise GraphError(f"malformed graph document: edge endpoint must be a string, got {x!r}")
+        weights = dict(items)
+        if len(weights) != len(items):
+            raise GraphError("duplicate vertex id in graph document")
         if require_positive_weights:
             for v, w in weights.items():
                 if w < 1:

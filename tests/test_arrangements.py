@@ -2,6 +2,7 @@ import pytest
 
 from horicert import (
     P2,
+    BoundExceededError,
     adjunction_genus,
     check_arrangement_smoothing,
     contracted_singularities,
@@ -14,7 +15,7 @@ from horicert import (
     total_class,
     verify_certificate,
 )
-from horicert.arrangements import Arrangement, Component, Role, from_shorthand
+from horicert.arrangements import MAX_COMPONENTS, Arrangement, Component, Role, from_shorthand
 
 
 class TestBuilders:
@@ -42,6 +43,14 @@ class TestBuilders:
             general_lines(0)
         with pytest.raises(ValueError):
             fibers_and_sections(0, 0, 0)
+
+    def test_size_bound(self):
+        assert general_lines(MAX_COMPONENTS).size == MAX_COMPONENTS
+        assert fibers_and_sections(1, 100, MAX_COMPONENTS - 100).size == MAX_COMPONENTS
+        with pytest.raises(BoundExceededError):
+            general_lines(MAX_COMPONENTS + 1)
+        with pytest.raises(BoundExceededError):
+            fibers_and_sections(1, 100, MAX_COMPONENTS - 99)
 
     def test_shorthand(self):
         assert from_shorthand("lines:P2:m=5").size == 5

@@ -93,6 +93,21 @@ class TestGraphCommands:
         assert code == 3
         assert "shorthand" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("graph-dual", "lines:P2:m=100000"),
+            ("graph-dual", "fn:N=1:a=200:b=57"),
+            ("theorem", "p2", "--d", "100000"),
+            ("theorem", "fn", "--N", "1", "--a", "400", "--b", "116"),
+        ],
+    )
+    def test_oversized_arrangement_exits_3(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "limited to 256 components" in err
+
 
 class TestContractDecide:
     def test_builtin_search(self, capsys):
@@ -130,6 +145,26 @@ class TestContractDecide:
         code, _, err = invoke(capsys, "contract-decide", "--graph", str(path))
         assert code == 3
         assert err
+
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [
+            ([{"id": ["a"], "wt": 2}], []),
+            ([{"id": "a", "wt": 2}, {"id": 1, "wt": 2}], []),
+            ([{"id": 1, "wt": 2}], []),
+            ([{"id": None, "wt": 2}], []),
+            ([{"id": "a", "wt": 2}, {"id": "b", "wt": 2}], [{"u": ["a"], "v": "b", "mult": 1}]),
+            ([{"id": "a", "wt": 2}, {"id": "b", "wt": 2}], [{"u": "a", "v": 2, "mult": 1}]),
+            ([{"id": "a", "wt": 2}, {"id": "b", "wt": 2}], [{"u": {"a": 1}, "v": "b", "mult": 1}]),
+        ],
+    )
+    def test_non_string_ids_are_malformed(self, capsys, tmp_path, vertices, edges):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+        code, out, err = invoke(capsys, "contract-decide", "--graph", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestCertVerify:
@@ -244,6 +279,9 @@ class TestFixtureModule:
     def test_unknown_fixture(self):
         with pytest.raises(Exception):
             fixtures.load_certificate("K9")
+
+    def test_certificates_are_parsed_once(self):
+        assert fixtures.load_certificate("K4") is fixtures.load_certificate("K4")
 
     def test_unknown_subcommand_exits_3(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -195,14 +195,56 @@ class TestDecide:
         assert all(s.merged not in g for s in cert.steps)
 
     def test_shared_memo_reuse(self):
-        ids = ["a", "b", "c", "d", "e"]
-        cycle = WeightedMultigraph(
-            {v: 2 for v in ids}, list(zip(ids, ids[1:] + ids[:1]))
-        )
+        # Every vertex has degree 4 and weight 3, so the search gets past
+        # the viability check on entry and records its failed states.
+        g = builtin("example-G")
         memo = set()
-        assert decide_contractible(cycle, memo=memo) is None
+        assert decide_contractible(g, memo=memo) is None
         assert memo  # failure states recorded
-        assert decide_contractible(cycle, memo=memo) is None
+        assert decide_contractible(g, memo=memo) is None
+
+    def test_memo_shared_between_graphs(self):
+        # Same vertex names, so both searches visit the same merge
+        # partitions; the memo must not carry a failure of one graph over
+        # to the other.
+        k1 = builtin("K1")
+        weights = dict(zip(k1.vertices, (2, 2, 2, 1, 1)))
+        no = WeightedMultigraph(weights, list(k1.edge_items()))
+        yes = WeightedMultigraph(dict(weights, v4=2), list(k1.edge_items()))
+        expected = decide_contractible(yes)
+        assert expected is not None and decide_contractible(no) is None
+        for first, second in ((no, yes), (yes, no)):
+            memo = set()
+            for g in (first, second, first):
+                assert decide_contractible(g, memo=memo) == (expected if g is yes else None)
+            assert memo
+
+    def test_unmergeable_vertex_means_no(self):
+        # A vertex of degree <= 3 or weight <= 0 can never be an endpoint of
+        # an admissible step, and no step changes a bystander's degree or
+        # weight.  Checked against the independent oracle on graphs that
+        # are otherwise heavy (about half of them contract before one vertex
+        # is spoilt).
+        import random
+
+        rng = random.Random(11)
+        for _ in range(400):
+            names = [f"v{i}" for i in range(rng.randint(2, 5))]
+            weights = {v: rng.randint(1, 5) for v in names}
+            mults = {pair: rng.randint(1, 3) for pair in itertools.combinations(names, 2)}
+            bad = rng.choice(names)
+            if rng.random() < 0.5:
+                weights[bad] = rng.randint(-1, 0)
+            else:
+                budget = rng.randint(0, 3)
+                for pair in mults:
+                    if bad in pair:
+                        mults[pair] = min(mults[pair], budget)
+                        budget -= mults[pair]
+            g = WeightedMultigraph(weights, [(u, v, m) for (u, v), m in mults.items()])
+            assert any(g.weight(x) <= 0 or g.degree(x) <= 3 for x in g.vertices)
+            assert not brute_force_oracle(g, max_total_multiplicity=30)
+            assert decide_contractible(g) is None
 
 
 class TestOracle:
