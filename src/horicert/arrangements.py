@@ -19,8 +19,8 @@ from .surfaces import DivClass, P2, Surface, canonical_class, hirzebruch, inters
 from . import contraction
 
 
-# Largest arrangement built: the YES path costs about m^3 time and m^2
-# memory in the number m of components.
+# Largest arrangement built: the YES path costs about m^2 time and memory
+# in the number m of components (the dual graph alone has m(m-1)/2 edges).
 MAX_COMPONENTS = 256
 
 
@@ -245,7 +245,8 @@ def check_arrangement_smoothing(arr: Arrangement) -> tuple[Obligation, contracti
         )
 
     minus_k_total = graph.total_weight()
-    sing = contracted_singularities(arr)
+    nodes = pairwise_nodes(arr)
+    sing = nodes - (arr.size - 1)  # contracted_singularities(arr), without recounting
     smooth_deg = check(
         "lemma.hypsmooth.minus_k_ge_8",
         minus_k_total >= 8,
@@ -257,7 +258,7 @@ def check_arrangement_smoothing(arr: Arrangement) -> tuple[Obligation, contracti
         sing >= 4,
         detail="contracted curve keeps at least 4 nodes",
         singular_points=sing,
-        pairwise_nodes=pairwise_nodes(arr),
+        pairwise_nodes=nodes,
         components=arr.size,
     )
     assumption = axiom(

@@ -25,6 +25,12 @@ The search stops at any state with a vertex that can never be merged
 failure memo by the partition of the input's vertices into merged groups,
 which fixes the state exactly and costs no canonical form.
 
+Verification, absorption and lifting replay their steps on one mutable
+copy of the graph that tracks every degree: a step touches only the rows
+of the pair's neighbours, so ``m - 1`` steps on ``m`` vertices cost
+O(m^2).  :func:`contract` stays the public one-step function, used by the
+search and by :meth:`ContractionCertificate.replay`.
+
 The rule above is encoded once, in ``_admissible``, for the search,
 verification, absorption and :func:`feasible_l_range`.  The oracle is a
 second, literal encoding that shares no code with it or with
@@ -177,28 +183,82 @@ def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = 
     return WeightedMultigraph._from_parts(weights, adj)
 
 
-def _admissible(g: WeightedMultigraph, u: str, v: str) -> tuple[int, int, int] | None:
+def _admissible(
+    u: str, v: str, mult: int, wt_u: int, wt_v: int, deg_u: int, deg_v: int, low: Iterable[str]
+) -> tuple[int, int, int] | None:
     """The admissibility rule for the pair ``{u, v}``, as intervals of ``l``.
 
-    Returns ``None`` when the pair is not adjacent or some bystander has
-    degree below 3.  Otherwise returns ``(lo, hi_uv, hi_vu)``: the ordering
-    ``(u, v)`` admits exactly ``lo <= l <= hi_uv`` and ``(v, u)`` exactly
-    ``lo <= l <= hi_vu`` (an interval may be empty).  The degree conditions
-    ``deg - mult + l >= 3`` give the shared lower end; ``l < mult`` and the
-    weight bounds ``wt(first) >= l + 1``, ``wt(second) >= l + 2`` give the
-    upper ends.  This is the only encoding of the rule on production paths.
+    ``mult`` is the pair's multiplicity, ``wt_*`` and ``deg_*`` are the
+    weights and degrees of its endpoints, and ``low`` holds every vertex
+    of the graph whose degree is below 3.  Returns ``None`` when the pair
+    is not adjacent or ``low`` holds a bystander.  Otherwise returns
+    ``(lo, hi_uv, hi_vu)``: the ordering ``(u, v)`` admits exactly
+    ``lo <= l <= hi_uv`` and ``(v, u)`` exactly ``lo <= l <= hi_vu`` (an
+    interval may be empty).  The degree conditions ``deg - mult + l >= 3``
+    give the shared lower end; ``l < mult`` and the weight bounds
+    ``wt(first) >= l + 1``, ``wt(second) >= l + 2`` give the upper ends.
+    This is the only encoding of the rule on production paths.
     """
-    adj = g._adj
-    mult = adj[u].get(v, 0)
     if mult < 1:
         return None
-    for x in g._vertices:
-        if x != u and x != v and sum(adj[x].values()) < 3:
+    for x in low:
+        if x != u and x != v:
             return None
-    lo = max(0, 3 - sum(adj[u].values()) + mult, 3 - sum(adj[v].values()) + mult)
-    wt_u = g._weights[u]
-    wt_v = g._weights[v]
+    lo = max(0, 3 - deg_u + mult, 3 - deg_v + mult)
     return lo, min(mult - 1, wt_u - 1, wt_v - 2), min(mult - 1, wt_v - 1, wt_u - 2)
+
+
+class _Replay:
+    """A graph contracted in place, for replaying a list of steps.
+
+    Holds the weights, the adjacency rows (in no particular order), each
+    vertex's degree and the set ``low`` of vertices of degree below 3.  A
+    merge never changes a bystander's degree, because
+    ``mult(x, merged) = mult(x, v) + mult(x, w)``; the merged vertex's
+    degree is ``deg v + deg w - 2 mult(v, w)``.  So a merge touches only
+    the rows of the pair's neighbours and costs O(m), where rebuilding the
+    graph with :func:`contract` costs O(m^2 log m).
+    """
+
+    __slots__ = ("weights", "adj", "deg", "low")
+
+    def __init__(self, g: WeightedMultigraph):
+        self.weights = dict(g._weights)
+        self.adj = {x: dict(row) for x, row in g._adj.items()}
+        self.deg = {x: sum(row.values()) for x, row in self.adj.items()}
+        self.low = {x for x, d in self.deg.items() if d < 3}
+
+    def admissible(self, u: str, v: str) -> tuple[int, int, int] | None:
+        """:func:`_admissible` for two vertices of the current graph."""
+        wt, deg = self.weights, self.deg
+        return _admissible(u, v, self.adj[u].get(v, 0), wt[u], wt[v], deg[u], deg[v], self.low)
+
+    def merge(self, v: str, w: str, merged: str) -> None:
+        """Contract the pair of current vertices ``v``, ``w`` into ``merged``,
+        raising what :func:`contract` raises."""
+        adj = self.adj
+        mult = adj[v].get(w, 0)
+        if mult < 1:
+            raise NotAdjacentError(f"vertices {v!r} and {w!r} are not adjacent")
+        if merged in self.weights and merged != v and merged != w:
+            raise GraphError(f"merged id {merged!r} collides with an existing vertex")
+        row = adj.pop(v)
+        row_w = adj.pop(w)
+        del row[w], row_w[v]
+        for x, m in row_w.items():
+            row[x] = row.get(x, 0) + m
+        for x, m in row.items():
+            row_x = adj[x]
+            row_x.pop(v, None)
+            row_x.pop(w, None)
+            row_x[merged] = m
+        adj[merged] = row
+        self.weights[merged] = self.weights.pop(v) + self.weights.pop(w)
+        deg = self.deg[merged] = self.deg.pop(v) + self.deg.pop(w) - 2 * mult
+        self.low.discard(v)
+        self.low.discard(w)
+        if deg < 3:
+            self.low.add(merged)
 
 
 def feasible_l_range(g: WeightedMultigraph, v: str, w: str) -> tuple[int, ...]:
@@ -210,7 +270,7 @@ def feasible_l_range(g: WeightedMultigraph, v: str, w: str) -> tuple[int, ...]:
     """
     if v == w or g.multiplicity(v, w) < 1:
         raise NotAdjacentError(f"vertices {v!r} and {w!r} are not adjacent")
-    bounds = _admissible(g, v, w)
+    bounds = _Replay(g).admissible(v, w)
     if bounds is None:
         return ()
     lo, hi, _ = bounds
@@ -227,26 +287,29 @@ def verify_certificate(cert: ContractionCertificate, require_singleton: bool = T
     its pair in the graph the step applies to.  With ``require_singleton``
     the replay must end in a single vertex carrying the full initial
     weight; switch it off to check a certificate prefix.  Steps that name
-    unknown vertices raise :class:`UnknownVertexError`.
+    unknown vertices raise :class:`UnknownVertexError`, and an admissible
+    step whose ``merged`` id is another vertex's raises :class:`GraphError`.
+    The steps are replayed in place, degrees tracked as they change, so a
+    certificate for ``m`` vertices is checked in O(m^2) time.
     """
-    g = cert.initial
+    state = _Replay(cert.initial)
     for step in cert.steps:
         v, w = step.pair
-        if v not in g:
+        if v not in state.weights:
             raise UnknownVertexError(f"step references missing vertex {v!r}")
-        if w not in g:
+        if w not in state.weights:
             raise UnknownVertexError(f"step references missing vertex {w!r}")
-        bounds = _admissible(g, v, w)
+        bounds = state.admissible(v, w)
         if bounds is None:
             return False
         lo, hi_vw, hi_wv = bounds
         if not lo <= step.l <= max(hi_vw, hi_wv):
             return False
-        g = contract(g, (v, w), step.merged)
+        state.merge(v, w, step.merged)
     if require_singleton:
-        if not g.is_singleton():
+        if len(state.weights) != 1:
             return False
-        if g.total_weight() != cert.initial.total_weight():
+        if sum(state.weights.values()) != cert.initial.total_weight():
             return False
     return True
 
@@ -273,6 +336,9 @@ def decide_contractible(
     contractible.  The search checks every vertex once on entry; after
     that only the merged vertex of a child is new, its weight is at least
     ``1 + 2``, and a child whose merged vertex has degree <= 3 is skipped.
+    So every vertex of every state searched has degree >= 4, and the
+    search asks the kernel with an empty set of low-degree vertices,
+    never summing a bystander's degree.
 
     *Memo.*  A state reached from ``g`` is fixed by the partition of
     ``g``'s vertices into merged groups, since weights and multiplicities
@@ -295,9 +361,12 @@ def decide_contractible(
     failed = memo if memo is not None else set()
 
     def search(h: WeightedMultigraph, groups: dict[str, int], name_index: int) -> list[ContractionStep] | None:
-        adj = h._adj
+        adj, wt = h._adj, h._weights
         for u, v in h.adjacent_pairs():
-            bounds = _admissible(h, u, v)
+            mult = adj[u][v]
+            deg_u = sum(adj[u].values())
+            deg_v = sum(adj[v].values())
+            bounds = _admissible(u, v, mult, wt[u], wt[v], deg_u, deg_v, ())
             if bounds is None:
                 continue
             l, hi_uv, hi_vu = bounds
@@ -313,7 +382,7 @@ def decide_contractible(
             merged = f"m{k}"
             if h.vertex_count == 2:
                 return [ContractionStep(pair, l, merged)]
-            if sum(adj[u].values()) + sum(adj[v].values()) - 2 * adj[u][v] <= 3:
+            if deg_u + deg_v - 2 * mult <= 3:
                 continue
             child = {x: mask for x, mask in groups.items() if x != u and x != v}
             child[merged] = groups[u] | groups[v]
@@ -414,17 +483,17 @@ def lift_certificate(
     if not verify_certificate(cert):
         raise GraphError("certificate does not verify for its own initial graph")
     phi = dict(embedding)
-    host = g
+    host = _Replay(g)
     out = []
     name_index = 1
     for step in cert.steps:
         v, w = step.pair
         gv, gw = phi[v], phi[w]
-        while f"m{name_index}" in host:
+        while f"m{name_index}" in host.weights:
             name_index += 1
         gm = f"m{name_index}"
         name_index += 1
-        host = contract(host, (gv, gw), gm)
+        host.merge(gv, gw, gm)
         del phi[v], phi[w]
         phi[step.merged] = gm
         out.append(ContractionStep((gv, gw), step.l, gm))
@@ -476,19 +545,19 @@ def absorb_submultigraph(
                 witness=inside,
             )
     steps: list[ContractionStep] = []
-    current = g
-    while current.vertex_count > len(h_set):
-        w = min(x for x in current.vertices if x not in h_set)
-        targets = [u for u in current.neighbors(w) if u in h_set]
-        bounds = _admissible(current, w, targets[0]) if targets else None
+    state = _Replay(g)
+    # Every merge keeps the kept vertex's id, so the vertices left outside
+    # are those of g not yet absorbed; they go smallest first.
+    for w in [x for x in g.vertices if x not in h_set]:
+        v = min((u for u in state.adj[w] if u in h_set), default=None)
+        bounds = None if v is None else state.admissible(w, v)
         if bounds is None or not bounds[0] == 0 <= bounds[1]:
             raise PreconditionError(
                 f"absorption step for {w!r} is not admissible", witness=w
             )  # unreachable under the checked preconditions
-        v = targets[0]
         steps.append(ContractionStep((w, v), 0, v))
-        current = contract(current, (w, v), v)
-    return tuple(steps), current
+        state.merge(w, v, v)
+    return tuple(steps), WeightedMultigraph._from_parts(state.weights, state.adj)
 
 
 def contract_multipartite(g: WeightedMultigraph) -> ContractionCertificate:

@@ -245,10 +245,18 @@ def double_cover_chern(surface: Surface, half_class: DivClass) -> ChernData:
     * ``chi  = 2 + (L.L + L.K) / 2``,
     * ``c2   = 12 * chi - c1^2``,
 
-    with ``L = half_class``.
+    with ``L = half_class``, which must be effective: ``d >= 0`` on the
+    plane; ``b >= 0`` and ``a + N*b >= 0`` on ``F_N``, whose effective
+    cone is spanned by ``F`` and the negative section ``T - N*F``.
     """
     if half_class.surface != surface:
         raise SurfaceMismatchError(f"class {half_class} does not live on {surface}")
+    if surface.is_plane:
+        effective = half_class.d >= 0
+    else:
+        effective = half_class.b >= 0 and half_class.a + surface.N * half_class.b >= 0
+    if not effective:
+        raise ValueError(f"half class {half_class} on {surface} is not effective")
     k = canonical_class(surface)
     kl = k + half_class
     c1_sq = 2 * intersect(kl, kl)

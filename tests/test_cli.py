@@ -256,6 +256,39 @@ class TestChermAndGenus:
         assert code == 3
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("p2", "--d", "-3"),
+            ("fn", "--N", "1", "--a", "-2", "--b", "1"),  # a + N*b < 0
+            ("fn", "--N", "0", "--a", "-1", "--b", "2"),
+            ("fn", "--N", "2", "--a", "5", "--b", "-1"),
+        ],
+    )
+    def test_chern_rejects_non_effective_class(self, capsys, argv):
+        code, out, err = invoke(capsys, "chern", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err and "not effective" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("p2", "--d", "0"),
+            ("fn", "--N", "1", "--a", "-1", "--b", "1"),  # the negative section T - F
+            ("fn", "--N", "1", "--a", "-2", "--b", "3"),  # F + 3(T - F)
+        ],
+    )
+    def test_chern_accepts_effective_class(self, capsys, argv):
+        code, _, err = invoke(capsys, "chern", *argv)
+        assert code == 0
+        assert err == ""
+
+    def test_genus_takes_any_class(self, capsys):
+        code, out, _ = invoke(capsys, "genus", "p2", "--d", "-3")
+        assert code == 0
+        assert out.strip() == "genus 10"
+
+    @pytest.mark.parametrize(
         "literal",
         [
             {"surface": {"kind": "FN"}, "class": {"a": 1, "b": 2}},

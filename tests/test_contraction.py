@@ -19,6 +19,8 @@ from horicert import (
     contract,
     contract_multipartite,
     decide_contractible,
+    decide_plane_double_cover,
+    decide_ruled_double_cover,
     dual_graph,
     feasible_l_range,
     fibers_and_sections,
@@ -141,6 +143,19 @@ class TestVerify:
         cert = ContractionCertificate(builtin("example-G"), (step,))
         assert verify_certificate(cert, require_singleton=False)
         assert not verify_certificate(cert)
+
+    def test_low_degree_merged_vertex_blocks_later_steps(self):
+        # Merging a and b with l = 2 leaves the merged vertex with degree 2,
+        # so it is a bystander of degree below 3 for the step on c, d, which
+        # would be admissible (l = 2) without it.
+        g = WeightedMultigraph(
+            {"a": 4, "b": 4, "c": 9, "d": 9},
+            [("a", "b", 3), ("a", "c", 1), ("b", "d", 1), ("c", "d", 3)],
+        )
+        first = ContractionStep(("a", "b"), 2, "m1")
+        assert verify_certificate(ContractionCertificate(g, (first,)), require_singleton=False)
+        second = ContractionStep(("c", "d"), 2, "m2")
+        assert not verify_certificate(ContractionCertificate(g, (first, second)), require_singleton=False)
 
     def test_non_adjacent_step_is_invalid(self):
         g = WeightedMultigraph({"a": 2, "b": 2, "c": 2, "d": 2}, [("a", "b"), ("c", "d")])
@@ -292,12 +307,12 @@ class TestOracle:
         # that shared the search's kernel would follow it and agree.
         kernel = contraction._admissible
 
-        def tightened(g, u, v):
-            bounds = kernel(g, u, v)
+        def tightened(u, v, mult, wt_u, wt_v, deg_u, deg_v, low):
+            bounds = kernel(u, v, mult, wt_u, wt_v, deg_u, deg_v, low)
             if bounds is None:
                 return None
             lo, hi_uv, hi_vu = bounds
-            return lo, min(hi_uv, g.weight(v) - 3), min(hi_vu, g.weight(u) - 3)
+            return lo, min(hi_uv, wt_v - 3), min(hi_vu, wt_u - 3)
 
         monkeypatch.setattr(contraction, "_admissible", tightened)
         family = (
@@ -363,8 +378,7 @@ class TestAbsorb:
         g = dual_graph(general_lines(6))
         keep = g.vertices[:5]
         steps, reduced = absorb_submultigraph(g, keep)
-        assert len(steps) == 1
-        assert steps[0].l == 0
+        assert steps == (ContractionStep(("L6", "L1"), 0, "L1"),)  # smallest kept neighbour
         assert set(reduced.vertices) == set(keep)
         assert verify_certificate(
             ContractionCertificate(g, steps), require_singleton=False
@@ -391,6 +405,22 @@ class TestAbsorb:
         with pytest.raises(PreconditionError) as err:
             absorb_submultigraph(g, ("v1", "v3", "v5", "v7", "v2"))
         assert set(err.value.witness) == {"v1", "v3", "v5", "v7"}
+
+    @pytest.mark.parametrize(
+        "g, keep",
+        [
+            (dual_graph(general_lines(9)), ("L2", "L4", "L6", "L8", "L9")),
+            (dual_graph(fibers_and_sections(1, 5, 6)), ("F1", "F2", "T1", "T2", "T3", "T6")),
+            (complete_multipartite([["a", "b", "c"], ["d", "e"], ["f", "g", "h"], ["i"]], 3), ("i", "a", "e", "h", "b", "g")),
+        ],
+    )
+    def test_reduced_graph_is_the_contract_chain(self, g, keep):
+        steps, reduced = absorb_submultigraph(g, keep)
+        chained = g
+        for step in steps:
+            chained = contract(chained, step.pair, step.merged)
+        assert reduced == chained
+        assert all(reduced.neighbors(v) == chained.neighbors(v) for v in reduced.vertices)
 
     def test_not_multipartite_witness(self):
         g = WeightedMultigraph(
@@ -447,6 +477,20 @@ class TestContractMultipartite:
         cert = contract_multipartite(g)
         assert verify_certificate(cert)
         assert cert.initial == g
+
+    @pytest.mark.parametrize(
+        "decide, args, vertices",
+        [
+            (decide_plane_double_cover, (512,), 256),
+            (decide_ruled_double_cover, (1, 256, 256), 256),  # 128 fibers + 128 sections
+        ],
+    )
+    def test_size_bound_certificates_verify(self, decide, args, vertices):
+        report = decide(*args)
+        cert = ContractionCertificate.from_json_dict(report.attachments["certificate"])
+        assert cert.initial.vertex_count == vertices
+        assert len(cert.steps) == vertices - 1
+        assert verify_certificate(cert)
 
     def test_rdeg_witness(self):
         g = dual_graph(general_lines(4))

@@ -8,6 +8,9 @@ from hypothesis import assume, given, settings
 from conftest import certifiable_multipartite_graphs, graphs, multipartite_graphs, relabelled
 from horicert import (
     ContractionCertificate,
+    ContractionStep,
+    GraphError,
+    UnknownVertexError,
     WeightedMultigraph,
     adjunction_genus,
     brute_force_oracle,
@@ -24,6 +27,7 @@ from horicert import (
     total_class,
     verify_certificate,
 )
+from horicert import contraction
 
 BIG = settings(max_examples=1000, deadline=None, derandomize=True)
 
@@ -181,3 +185,88 @@ def test_rdeg_degree_relation(g):
         assert g.rdeg(v) <= g.degree(v)
         simple = all(m == 1 for u, w, m in g.edge_items() if v in (u, w))
         assert (g.rdeg(v) == g.degree(v)) == simple
+
+
+def reference_verify(cert, require_singleton=True):
+    """``verify_certificate`` as a chain of :func:`contract` calls, asking the
+    kernel with degrees summed afresh from every intermediate graph."""
+    g = cert.initial
+    for step in cert.steps:
+        v, w = step.pair
+        for x in (v, w):
+            if x not in g:
+                raise UnknownVertexError(x)
+        low = {x for x in g.vertices if g.degree(x) < 3}
+        bounds = contraction._admissible(
+            v, w, g.multiplicity(v, w), g.weight(v), g.weight(w), g.degree(v), g.degree(w), low
+        )
+        if bounds is None or not bounds[0] <= step.l <= max(bounds[1], bounds[2]):
+            return False
+        g = contract(g, (v, w), step.merged)
+    if require_singleton:
+        return g.is_singleton() and g.total_weight() == cert.initial.total_weight()
+    return True
+
+
+FAULTS = ("none", "l", "non_adjacent", "same_vertex", "unknown_vertex", "bystander_id")
+
+
+@st.composite
+def step_lists(draw):
+    """A graph of 2..7 vertices and a walk of merges on it, mostly
+    admissible, ending in at most one faulty step of a drawn kind."""
+    g = draw(
+        st.one_of(
+            graphs(min_vertices=2, max_vertices=7, min_weight=0),
+            graphs(min_vertices=2, max_vertices=7, min_weight=3, max_weight=9, max_mult=4),
+        )
+    )
+    fault = draw(st.sampled_from(FAULTS))
+    fault_at = draw(st.integers(0, g.vertex_count - 2))
+    h, steps = g, []
+    for i in range(g.vertex_count - 1):
+        pairs = h.adjacent_pairs()
+        if not pairs:
+            break
+        u, v = draw(st.sampled_from(pairs))
+        feasible = [(a, b, l) for a, b in ((u, v), (v, u)) for l in feasible_l_range(h, a, b)]
+        if feasible and draw(st.integers(0, 7)):
+            pair_l = draw(st.sampled_from(feasible))
+        else:
+            pair_l = (u, v, draw(st.integers(0, 3)))
+        a, b, l = pair_l
+        merged = f"m{i + 1}"
+        if i == fault_at and fault != "none":
+            others = [x for x in h.vertices if x not in (a, b)]
+            apart = [(x, y) for x, y in itertools.combinations(h.vertices, 2) if not h.multiplicity(x, y)]
+            if fault == "l":
+                ls = {l for _, _, l in feasible}
+                l = draw(st.sampled_from([x for x in range(-1, h.multiplicity(a, b) + 2) if x not in ls]))
+            elif fault == "non_adjacent" and apart:
+                a, b = draw(st.sampled_from(apart))
+            elif fault == "same_vertex":
+                b = a
+            elif fault == "unknown_vertex":
+                a, b = draw(st.sampled_from([(a, "zz"), ("zz", b)]))
+            elif fault == "bystander_id" and others:
+                merged = draw(st.sampled_from(others))
+            steps.append(ContractionStep((a, b), l, merged))
+            break
+        steps.append(ContractionStep((a, b), l, merged))
+        h = contract(h, (a, b), merged)
+    return ContractionCertificate(g, tuple(steps))
+
+
+def _outcome(verify, cert, require_singleton):
+    try:
+        return verify(cert, require_singleton)
+    except GraphError as exc:
+        return type(exc)
+
+
+@given(step_lists(), st.booleans())
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_verify_matches_the_contract_chain(cert, require_singleton):
+    assert _outcome(verify_certificate, cert, require_singleton) == _outcome(
+        reference_verify, cert, require_singleton
+    )
