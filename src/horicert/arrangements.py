@@ -178,10 +178,13 @@ def pairwise_nodes(arr: Arrangement) -> int:
     )
 
 
-def contracted_singularities(arr: Arrangement) -> int:
+def contracted_singularities(arr: Arrangement, nodes: int | None = None) -> int:
     """Nodes surviving a full contraction of the dual graph: each of the
-    ``m - 1`` merges smooths one intersection point."""
-    return pairwise_nodes(arr) - (arr.size - 1)
+    ``m - 1`` merges smooths one intersection point.  ``nodes`` is
+    :func:`pairwise_nodes` of ``arr``, counted here unless given."""
+    if nodes is None:
+        nodes = pairwise_nodes(arr)
+    return nodes - (arr.size - 1)
 
 
 # ------------------------------------------------------------------ obligations
@@ -246,7 +249,7 @@ def check_arrangement_smoothing(arr: Arrangement) -> tuple[Obligation, contracti
 
     minus_k_total = graph.total_weight()
     nodes = pairwise_nodes(arr)
-    sing = nodes - (arr.size - 1)  # contracted_singularities(arr), without recounting
+    sing = contracted_singularities(arr, nodes)
     smooth_deg = check(
         "lemma.hypsmooth.minus_k_ge_8",
         minus_k_total >= 8,

@@ -25,11 +25,12 @@ The search stops at any state with a vertex that can never be merged
 failure memo by the partition of the input's vertices into merged groups,
 which fixes the state exactly and costs no canonical form.
 
-Verification, absorption and lifting replay their steps on one mutable
-copy of the graph that tracks every degree: a step touches only the rows
-of the pair's neighbours, so ``m - 1`` steps on ``m`` vertices cost
-O(m^2).  :func:`contract` stays the public one-step function, used by the
-search and by :meth:`ContractionCertificate.replay`.
+Verification and absorption replay their steps on one mutable copy of
+the graph that tracks every degree: a step touches only the rows of the
+pair's neighbours, so ``m - 1`` steps on ``m`` vertices cost O(m^2).
+:func:`contract`, the public one-step function used by the search and by
+:meth:`ContractionCertificate.replay`, makes one such step on a fresh
+copy and returns it as a new graph.
 
 The rule above is encoded once, in ``_admissible``, for the search,
 verification, absorption and :func:`feasible_l_range`.  The oracle is a
@@ -153,34 +154,18 @@ def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = 
     The merged vertex weighs ``wt(v) + wt(w)`` and is joined to every
     bystander ``x`` by ``mult(v, x) + mult(w, x)`` edges; the pair's own
     edges vanish.  The result does not depend on any admissibility
-    parameter.  ``merged`` defaults to a fresh ``m<k>`` id.
+    parameter.  ``merged`` defaults to a fresh ``m<k>`` id.  Copying and
+    re-sorting ``g`` makes one call O(m^2 log m); replay a list of steps
+    on one ``_Replay`` instead.
     """
     v, w = pair
-    pair_mult = g.multiplicity(v, w)
-    if pair_mult < 1:
+    if g.multiplicity(v, w) < 1:
         raise NotAdjacentError(f"vertices {v!r} and {w!r} are not adjacent")
     if merged is None:
         merged = next_merged_id(g)
-    elif merged in g and merged not in (v, w):
-        raise GraphError(f"merged id {merged!r} collides with an existing vertex")
-    weights = {x: wx for x, wx in g._weights.items() if x != v and x != w}
-    weights[merged] = g.weight(v) + g.weight(w)
-    adj: dict[str, dict[str, int]] = {merged: {}}
-    for x in g.vertices:
-        if x == v or x == w:
-            continue
-        row: dict[str, int] = {}
-        to_merged = 0
-        for y, m in g._adj[x].items():
-            if y == v or y == w:
-                to_merged += m
-            else:
-                row[y] = m
-        if to_merged:
-            row[merged] = to_merged
-            adj[merged][x] = to_merged
-        adj[x] = row
-    return WeightedMultigraph._from_parts(weights, adj)
+    state = _Replay(g)
+    state.merge(v, w, merged)
+    return WeightedMultigraph._from_parts(state.weights, state.adj)
 
 
 def _admissible(
@@ -216,8 +201,7 @@ class _Replay:
     merge never changes a bystander's degree, because
     ``mult(x, merged) = mult(x, v) + mult(x, w)``; the merged vertex's
     degree is ``deg v + deg w - 2 mult(v, w)``.  So a merge touches only
-    the rows of the pair's neighbours and costs O(m), where rebuilding the
-    graph with :func:`contract` costs O(m^2 log m).
+    the rows of the pair's neighbours and costs O(m).
     """
 
     __slots__ = ("weights", "adj", "deg", "low")
@@ -483,17 +467,18 @@ def lift_certificate(
     if not verify_certificate(cert):
         raise GraphError("certificate does not verify for its own initial graph")
     phi = dict(embedding)
-    host = _Replay(g)
+    live = set(g.vertices)
     out = []
     name_index = 1
     for step in cert.steps:
         v, w = step.pair
         gv, gw = phi[v], phi[w]
-        while f"m{name_index}" in host.weights:
+        while f"m{name_index}" in live:
             name_index += 1
         gm = f"m{name_index}"
         name_index += 1
-        host.merge(gv, gw, gm)
+        live -= {gv, gw}
+        live.add(gm)
         del phi[v], phi[w]
         phi[step.merged] = gm
         out.append(ContractionStep((gv, gw), step.l, gm))

@@ -45,6 +45,29 @@ def test_contract_conserves_weight_and_counts(g, data):
 
 
 @BIG
+@given(graphs(min_vertices=2), st.data())
+def test_contract_is_the_literal_merge(g, data):
+    # Built through the public constructor, so the expected graph shares
+    # no code with contract's in-place merge; neighbours must come out in
+    # the same sorted order.
+    pairs = g.adjacent_pairs()
+    assume(pairs)
+    u, v = data.draw(st.sampled_from(pairs))
+    merged = data.draw(st.sampled_from(["m1", "zz", u, v]))
+    assume(merged not in g or merged in (u, v))
+    rest = [x for x in g.vertices if x not in (u, v)]
+    weights = {x: g.weight(x) for x in rest}
+    weights[merged] = g.weight(u) + g.weight(v)
+    edges = [(x, y, m) for x, y, m in g.edge_items() if x in rest and y in rest]
+    edges += [(x, merged, g.multiplicity(x, u) + g.multiplicity(x, v)) for x in rest]
+    expected = WeightedMultigraph(weights, [e for e in edges if e[2]])
+    h = contract(g, (u, v), merged)
+    assert h == expected
+    assert h.vertices == expected.vertices
+    assert all(h.neighbors(x) == expected.neighbors(x) for x in h.vertices)
+
+
+@BIG
 @given(multipartite_graphs(), st.data())
 def test_contraction_preserves_complete_multipartiteness(g, data):
     pairs = g.adjacent_pairs()
