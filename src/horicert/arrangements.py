@@ -1,9 +1,12 @@
 """Curve arrangements on the base surfaces and their dual graphs.
 
-An arrangement is a list of divisor classes in one of three base-point-free
-roles: lines on the plane, fibers and sections on a ruled surface.  The
-components are assumed to be chosen generally (pairwise transversal, no
-triple points); that assumption is recorded, not verified, and it is what
+An arrangement is a list of components, each in one of three
+base-point-free roles: lines on the plane, fibers and sections on a ruled
+surface.  A component's class is its role's (``Surface.line_class()``,
+``fiber_class()`` or ``section_class()``), so all class arithmetic is done
+once per role or pair of roles, not per component.  The components are
+assumed to be chosen generally (pairwise transversal, no triple points);
+that assumption is recorded in every report, not verified, and it is what
 makes the dual graph well defined: one vertex per component weighted by
 ``-K.C``, joined by ``C_i.C_j`` edges.
 """
@@ -11,7 +14,9 @@ makes the dual graph well defined: one vertex per component weighted by
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .multigraph import BoundExceededError, WeightedMultigraph
 from .report import Obligation, axiom, check, group
@@ -20,7 +25,8 @@ from . import contraction
 
 
 # Largest arrangement built: the YES path costs about m^2 time and memory
-# in the number m of components (the dual graph alone has m(m-1)/2 edges).
+# in the number m of components (the dual graph has m(m-1)/2 edges, and
+# absorbing and verifying its certificate replay m - 1 merges of O(m) each).
 MAX_COMPONENTS = 256
 
 
@@ -34,19 +40,17 @@ class Role(enum.Enum):
     FIBER = "fiber"
     SECTION = "section"
 
-
-_ROLE_CLASS = {
-    Role.LINE: lambda s: s.div(1),
-    Role.FIBER: lambda s: s.div(1, 0),
-    Role.SECTION: lambda s: s.div(0, 1),
-}
+    def cls(self, surface: Surface) -> DivClass:
+        """The class of every component in this role; raises
+        :class:`SurfaceMismatchError` on the wrong kind of surface."""
+        by_role = {Role.LINE: surface.line_class, Role.FIBER: surface.fiber_class, Role.SECTION: surface.section_class}
+        return by_role[self]()
 
 
 @dataclass(frozen=True)
 class Component:
     id: str
     role: Role
-    cls: DivClass
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,6 @@ class Arrangement:
 
     surface: Surface
     components: tuple[Component, ...]
-    general_position: bool = True
 
     def __post_init__(self):
         ids = set()
@@ -68,42 +71,17 @@ class Arrangement:
             if comp.id in ids:
                 raise ValueError(f"duplicate component id {comp.id!r}")
             ids.add(comp.id)
-            if comp.role is Role.LINE and not self.surface.is_plane:
-                raise ValueError("lines live on the plane")
-            if comp.role is not Role.LINE and self.surface.is_plane:
-                raise ValueError(f"{comp.role.value} components live on a ruled surface")
-            expected = _ROLE_CLASS[comp.role](self.surface)
-            if comp.cls != expected:
-                raise ValueError(
-                    f"component {comp.id!r} has class {comp.cls}, expected {expected} for role {comp.role.value}"
-                )
+        self.role_classes()  # a role on the wrong kind of surface raises here
 
     @property
     def size(self) -> int:
         return len(self.components)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "surface": self.surface.to_json_dict(),
-            "components": [
-                {"id": c.id, "role": c.role.value, "class": c.cls.to_json_dict()["class"]}
-                for c in self.components
-            ],
-            "general_position": self.general_position,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "Arrangement":
-        try:
-            surface = Surface.from_json_dict(data["surface"])
-            comps = []
-            for item in data["components"]:
-                body = item["class"]
-                div = surface.div(body["d"]) if surface.is_plane else surface.div(body["a"], body["b"])
-                comps.append(Component(item["id"], Role(item["role"]), div))
-            return cls(surface, tuple(comps), data.get("general_position", True))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed arrangement document: {exc}") from None
+    def role_classes(self) -> dict[Role, tuple[DivClass, int]]:
+        """Each role present, in order of first appearance, with its class
+        and its number of components."""
+        counts = Counter(c.role for c in self.components)
+        return {role: (role.cls(self.surface), n) for role, n in counts.items()}
 
 
 def general_lines(m: int) -> Arrangement:
@@ -111,9 +89,7 @@ def general_lines(m: int) -> Arrangement:
     if m < 1:
         raise ValueError(f"need at least one line, got {m}")
     _check_size(m)
-    line = P2.div(1)
-    comps = tuple(Component(f"L{i}", Role.LINE, line) for i in range(1, m + 1))
-    return Arrangement(P2, comps)
+    return Arrangement(P2, tuple(Component(f"L{i}", Role.LINE) for i in range(1, m + 1)))
 
 
 def fibers_and_sections(N: int, a: int, b: int) -> Arrangement:
@@ -122,10 +98,9 @@ def fibers_and_sections(N: int, a: int, b: int) -> Arrangement:
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError(f"need non-negative counts with at least one component, got {a}, {b}")
     _check_size(a + b)
-    s = hirzebruch(N)
-    comps = [Component(f"F{i}", Role.FIBER, s.div(1, 0)) for i in range(1, a + 1)]
-    comps += [Component(f"T{j}", Role.SECTION, s.div(0, 1)) for j in range(1, b + 1)]
-    return Arrangement(s, tuple(comps))
+    comps = [Component(f"F{i}", Role.FIBER) for i in range(1, a + 1)]
+    comps += [Component(f"T{j}", Role.SECTION) for j in range(1, b + 1)]
+    return Arrangement(hirzebruch(N), tuple(comps))
 
 
 def from_shorthand(text: str) -> Arrangement:
@@ -148,43 +123,38 @@ def from_shorthand(text: str) -> Arrangement:
 
 def dual_graph(arr: Arrangement) -> WeightedMultigraph:
     """Dual graph: one vertex per component, weight ``-K.C``, multiplicity
-    ``C_i.C_j``.  Requires the general-position assumption."""
-    if not arr.general_position:
-        raise ValueError("dual graph needs the general-position assumption")
+    ``C_i.C_j``, each computed once per role or pair of roles."""
+    classes = {role: cls for role, (cls, _) in arr.role_classes().items()}
     minus_k = -canonical_class(arr.surface)
-    weights = {c.id: intersect(minus_k, c.cls) for c in arr.components}
+    weight = {role: intersect(minus_k, cls) for role, cls in classes.items()}
+    mult = {}
+    for r, s in combinations_with_replacement(classes, 2):
+        mult[r, s] = mult[s, r] = intersect(classes[r], classes[s])
+    comps = arr.components
     edges = [
-        (ci.id, cj.id, intersect(ci.cls, cj.cls))
-        for i, ci in enumerate(arr.components)
-        for cj in arr.components[i + 1:]
+        (ci.id, cj.id, mult[ci.role, cj.role]) for i, ci in enumerate(comps) for cj in comps[i + 1:]
     ]
-    return WeightedMultigraph(weights, edges)
+    return WeightedMultigraph({c.id: weight[c.role] for c in comps}, edges)
 
 
 def total_class(arr: Arrangement) -> DivClass:
     """Sum of the component classes."""
-    total = arr.components[0].cls
-    for c in arr.components[1:]:
-        total = total + c.cls
-    return total
+    terms = [n * cls for cls, n in arr.role_classes().values()]
+    return sum(terms[1:], terms[0])
 
 
 def pairwise_nodes(arr: Arrangement) -> int:
-    """Number of pairwise intersection points, counted by class arithmetic."""
-    return sum(
-        intersect(ci.cls, cj.cls)
-        for i, ci in enumerate(arr.components)
-        for cj in arr.components[i + 1:]
-    )
+    """Number of pairwise intersection points: ``(T.T - sum C_i.C_i) / 2``
+    with ``T`` the total class."""
+    total = total_class(arr)
+    squares = sum(n * intersect(cls, cls) for cls, n in arr.role_classes().values())
+    return (intersect(total, total) - squares) // 2
 
 
-def contracted_singularities(arr: Arrangement, nodes: int | None = None) -> int:
+def contracted_singularities(arr: Arrangement) -> int:
     """Nodes surviving a full contraction of the dual graph: each of the
-    ``m - 1`` merges smooths one intersection point.  ``nodes`` is
-    :func:`pairwise_nodes` of ``arr``, counted here unless given."""
-    if nodes is None:
-        nodes = pairwise_nodes(arr)
-    return nodes - (arr.size - 1)
+    ``m - 1`` merges smooths one intersection point."""
+    return pairwise_nodes(arr) - (arr.size - 1)
 
 
 # ------------------------------------------------------------------ obligations
@@ -249,7 +219,7 @@ def check_arrangement_smoothing(arr: Arrangement) -> tuple[Obligation, contracti
 
     minus_k_total = graph.total_weight()
     nodes = pairwise_nodes(arr)
-    sing = contracted_singularities(arr, nodes)
+    sing = contracted_singularities(arr)
     smooth_deg = check(
         "lemma.hypsmooth.minus_k_ge_8",
         minus_k_total >= 8,

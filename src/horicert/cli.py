@@ -109,7 +109,6 @@ def build_parser() -> _Parser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="path to a graph JSON document, or - for stdin")
     src.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a named reference graph")
-    p.add_argument("--max-vertices", type=int, default=12)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--dot-dir", help="write one DOT file per intermediate graph")
 
@@ -169,7 +168,7 @@ def run(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "contract-decide":
         g = builtin(args.builtin) if args.builtin else _read_graph(args.graph)
-        cert = decide_contractible(g, max_vertices=args.max_vertices)
+        cert = decide_contractible(g)
         if cert is None:
             _emit("NO: exhaustive search found no admissible contraction sequence")
             return EXIT_NO

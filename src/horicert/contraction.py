@@ -301,16 +301,14 @@ def verify_certificate(cert: ContractionCertificate, require_singleton: bool = T
 # ------------------------------------------------------------------ search
 
 
-def decide_contractible(
-    g: WeightedMultigraph,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    memo: set | None = None,
-) -> ContractionCertificate | None:
+def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> ContractionCertificate | None:
     """Exhaustive search for an admissible contraction sequence.
 
     Depth-first over adjacent pairs in sorted order, taking the minimal
     feasible ``l`` per step, so the returned certificate is deterministic.
     Returns ``None`` only after exhausting every admissible sequence.
+    A graph of more than ``DEFAULT_MAX_VERTICES`` (12) vertices raises
+    :class:`BoundExceededError`; the bound is fixed.
 
     *Viability.*  An endpoint of an admissible step has ``l <= mult - 1``
     and ``deg - mult + l >= 3``, so degree at least 4, and weight at least
@@ -332,9 +330,9 @@ def decide_contractible(
     knowledge.  Only failing subtrees are cut, so the certificate does not
     depend on the memo.
     """
-    if g.vertex_count > max_vertices:
+    if g.vertex_count > DEFAULT_MAX_VERTICES:
         raise BoundExceededError(
-            f"contractibility search limited to {max_vertices} vertices, got {g.vertex_count}"
+            f"contractibility search limited to {DEFAULT_MAX_VERTICES} vertices, got {g.vertex_count}"
         )
     if g.vertex_count == 0:
         return None

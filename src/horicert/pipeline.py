@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangements import check_arrangement_smoothing, fibers_and_sections, general_lines
+from .arrangements import Arrangement, check_arrangement_smoothing, fibers_and_sections, general_lines
 from .report import Obligation, ObligationReport, Verdict, axiom, check, group
 from .surfaces import (
     SPLIT,
@@ -75,37 +75,23 @@ def check_degeneration_bounds(surface: Surface, half_class: DivClass, full_class
             ),
             detail="line-arrangement degeneration bounds on the plane",
         )
-    a, b = half_class.a, half_class.b
-    c, d = full_class.a, full_class.b
+    bullet, ac_min = ("bullet1", 4) if surface.N == 0 else ("bullet2", 3)
+    name = f"corollary.zai_fn.{bullet}"
+    bounds = (
+        ("a", half_class.a, ac_min),
+        ("b", half_class.b, 4),
+        ("c", full_class.a, ac_min),
+        ("d", full_class.b, 4),
+    )
     stability = axiom(
         "assumption.stable_subarrangements",
         "dropping any one component keeps the rest stable; granted by the neighbour counts",
     )
-    if surface.N == 0:
-        bullet = group(
-            "corollary.zai_fn.bullet1",
-            (
-                check("corollary.zai_fn.bullet1.a_ge_4", a >= 4, a=a),
-                check("corollary.zai_fn.bullet1.b_ge_4", b >= 4, b=b),
-                check("corollary.zai_fn.bullet1.c_ge_4", c >= 4, c=c),
-                check("corollary.zai_fn.bullet1.d_ge_4", d >= 4, d=d),
-                stability,
-            ),
-            detail="degeneration bounds on F_0",
-        )
-    else:
-        bullet = group(
-            "corollary.zai_fn.bullet2",
-            (
-                check("corollary.zai_fn.bullet2.a_ge_3", a >= 3, a=a),
-                check("corollary.zai_fn.bullet2.b_ge_4", b >= 4, b=b),
-                check("corollary.zai_fn.bullet2.c_ge_3", c >= 3, c=c),
-                check("corollary.zai_fn.bullet2.d_ge_4", d >= 4, d=d),
-                stability,
-            ),
-            detail=f"degeneration bounds on F_{surface.N}",
-        )
-    return bullet
+    return group(
+        name,
+        tuple(check(f"{name}.{k}_ge_{lo}", v >= lo, **{k: v}) for k, v, lo in bounds) + (stability,),
+        detail=f"degeneration bounds on F_{surface.N}",
+    )
 
 
 def check_cyclic_cover_setup(surface: Surface, c_class: DivClass, s_class: DivClass, n: int) -> Obligation:
@@ -164,6 +150,26 @@ def _genus_value(g) -> object:
     return "SPLIT" if g is SPLIT else g
 
 
+def _decide_yes(surface: Surface, half: DivClass, full: DivClass, arr: Arrangement) -> ObligationReport:
+    """The YES report: degree bounds, arrangement smoothing, cover setup,
+    the analytic axioms, and the Chern data and certificate attached."""
+    bounds = check_degeneration_bounds(surface, half, full)
+    smoothing, cert = check_arrangement_smoothing(arr)
+    cover = check_cyclic_cover_setup(surface, half, full, 2)
+    chern = double_cover_chern(surface, half)
+    attachments = {
+        "chern": chern.to_json_dict(),
+        "half_genus": adjunction_genus(half),
+        "horikawa_case": chern.horikawa_case(),
+    }
+    if cert is not None:
+        attachments["certificate"] = cert.to_json_dict()
+    obligations = (bounds, smoothing, cover) + _analytic_axioms()
+    # Every obligation holds on the deciders' YES ranges; the report constructor
+    # enforces that, so a failure here means a defect in the chain itself.
+    return ObligationReport(Verdict.YES, obligations, attachments)
+
+
 # ------------------------------------------------------------------ deciders
 
 
@@ -219,23 +225,7 @@ def decide_plane_double_cover(d: int) -> ObligationReport:
             )
         return ObligationReport(Verdict.NO, (obstruction,), {"chern": chern.to_json_dict()})
     m = d // 2
-    half = P2.div(m)
-    full = P2.div(d)
-    bounds = check_degeneration_bounds(P2, half, full)
-    smoothing, cert = check_arrangement_smoothing(general_lines(m))
-    cover = check_cyclic_cover_setup(P2, half, full, 2)
-    chern = double_cover_chern(P2, half)
-    attachments = {
-        "chern": chern.to_json_dict(),
-        "half_genus": adjunction_genus(half),
-        "horikawa_case": chern.horikawa_case(),
-    }
-    if cert is not None:
-        attachments["certificate"] = cert.to_json_dict()
-    obligations = (bounds, smoothing, cover) + _analytic_axioms()
-    # Every obligation holds for even d >= 10; the report constructor
-    # enforces that, so a failure here means a defect in the chain itself.
-    return ObligationReport(Verdict.YES, obligations, attachments)
+    return _decide_yes(P2, P2.div(m), P2.div(d), general_lines(m))
 
 
 def decide_ruled_double_cover(N: int, a: int, b: int) -> ObligationReport:
@@ -307,19 +297,7 @@ def decide_ruled_double_cover(N: int, a: int, b: int) -> ObligationReport:
             )
         return ObligationReport(Verdict.NO, (obstruction,), {"chern": chern.to_json_dict()})
     half = surface.div(a // 2, b // 2)
-    bounds = check_degeneration_bounds(surface, half, branch)
-    smoothing, cert = check_arrangement_smoothing(fibers_and_sections(N, a // 2, b // 2))
-    cover = check_cyclic_cover_setup(surface, half, branch, 2)
-    chern = double_cover_chern(surface, half)
-    attachments = {
-        "chern": chern.to_json_dict(),
-        "half_genus": adjunction_genus(half),
-        "horikawa_case": chern.horikawa_case(),
-    }
-    if cert is not None:
-        attachments["certificate"] = cert.to_json_dict()
-    obligations = (bounds, smoothing, cover) + _analytic_axioms()
-    return ObligationReport(Verdict.YES, obligations, attachments)
+    return _decide_yes(surface, half, branch, fibers_and_sections(N, a // 2, b // 2))
 
 
 def cyclic_cover_factorization(d: int) -> tuple[int, int] | None:

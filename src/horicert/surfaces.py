@@ -245,18 +245,26 @@ def double_cover_chern(surface: Surface, half_class: DivClass) -> ChernData:
     * ``chi  = 2 + (L.L + L.K) / 2``,
     * ``c2   = 12 * chi - c1^2``,
 
-    with ``L = half_class``, which must be effective: ``d >= 0`` on the
-    plane; ``b >= 0`` and ``a + N*b >= 0`` on ``F_N``, whose effective
-    cone is spanned by ``F`` and the negative section ``T - N*F``.
+    with ``L = half_class``, for which ``|2L|`` must have a smooth member.
+    On the plane that means ``d >= 0``.  On ``F_N``, ``L`` must be
+    effective (``b >= 0`` and ``a + N*b >= 0``; the effective cone is
+    spanned by ``F`` and the negative section ``E = T - N*F``), and since
+    ``2L.E = 2a``, ``E`` is a fixed part of ``|2L|`` when ``a < 0``: then a
+    smooth member is ``E`` plus a disjoint member of ``|(2b-1)T|``, which
+    needs ``2a == -N`` and ``b >= 1``.
     """
     if half_class.surface != surface:
         raise SurfaceMismatchError(f"class {half_class} does not live on {surface}")
     if surface.is_plane:
-        effective = half_class.d >= 0
+        effective = smooth = half_class.d >= 0
     else:
-        effective = half_class.b >= 0 and half_class.a + surface.N * half_class.b >= 0
+        a, b, N = half_class.a, half_class.b, surface.N
+        effective = b >= 0 and a + N * b >= 0
+        smooth = a >= 0 or (2 * a == -N and b >= 1)
     if not effective:
         raise ValueError(f"half class {half_class} on {surface} is not effective")
+    if not smooth:
+        raise ValueError(f"twice the half class {half_class} on {surface} has no smooth member")
     k = canonical_class(surface)
     kl = k + half_class
     c1_sq = 2 * intersect(kl, kl)

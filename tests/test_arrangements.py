@@ -3,13 +3,17 @@ import pytest
 from horicert import (
     P2,
     BoundExceededError,
+    SurfaceMismatchError,
+    WeightedMultigraph,
     adjunction_genus,
+    canonical_class,
     check_arrangement_smoothing,
     contracted_singularities,
     dual_graph,
     fibers_and_sections,
     general_lines,
     hirzebruch,
+    intersect,
     multipartite_partition,
     pairwise_nodes,
     total_class,
@@ -25,18 +29,26 @@ class TestBuilders:
         assert all(c.role is Role.LINE for c in arr.components)
 
     def test_role_class_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Arrangement(P2, (Component("L1", Role.LINE, P2.div(2)),))
         s = hirzebruch(1)
-        with pytest.raises(ValueError):
-            Arrangement(s, (Component("F1", Role.FIBER, s.div(0, 1)),))
-        with pytest.raises(ValueError):
-            Arrangement(P2, (Component("F1", Role.FIBER, s.div(1, 0)),))
+        for surface, role in ((P2, Role.FIBER), (P2, Role.SECTION), (s, Role.LINE)):
+            with pytest.raises(SurfaceMismatchError):
+                Arrangement(surface, (Component("C1", role),))
+        with pytest.raises(SurfaceMismatchError):
+            Arrangement(P2, (Component("L1", Role.LINE), Component("F1", Role.FIBER)))
+
+    def test_role_classes(self):
+        s = hirzebruch(2)
+        assert Role.LINE.cls(P2) == P2.div(1)
+        assert Role.FIBER.cls(s) == s.div(1, 0)
+        assert Role.SECTION.cls(s) == s.div(0, 1)
+        assert fibers_and_sections(2, 3, 4).role_classes() == {
+            Role.FIBER: (s.div(1, 0), 3),
+            Role.SECTION: (s.div(0, 1), 4),
+        }
 
     def test_duplicate_ids_rejected(self):
-        line = P2.div(1)
         with pytest.raises(ValueError):
-            Arrangement(P2, (Component("L1", Role.LINE, line), Component("L1", Role.LINE, line)))
+            Arrangement(P2, (Component("L1", Role.LINE), Component("L1", Role.LINE)))
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
@@ -60,12 +72,6 @@ class TestBuilders:
         for bad in ("lines:P3:m=5", "fn:N=1", "squiggles", "lines:P2:m=x"):
             with pytest.raises(ValueError):
                 from_shorthand(bad)
-
-    def test_json_round_trip(self):
-        for arr in (general_lines(3), fibers_and_sections(2, 3, 4)):
-            assert Arrangement.from_json_dict(arr.to_json_dict()) == arr
-        with pytest.raises(ValueError):
-            Arrangement.from_json_dict({"surface": {"kind": "P2"}})
 
 
 class TestDualGraph:
@@ -95,12 +101,6 @@ class TestDualGraph:
         g = dual_graph(fibers_and_sections(2, 3, 4))
         assert g.multiplicity("T1", "T2") == 2
         assert g.weight("T1") == 4
-
-    def test_general_position_required(self):
-        arr = general_lines(5)
-        degenerate = Arrangement(arr.surface, arr.components, general_position=False)
-        with pytest.raises(ValueError):
-            dual_graph(degenerate)
 
     def test_dual_graphs_are_multipartite(self):
         for arr in (
@@ -152,6 +152,56 @@ class TestCounts:
         ):
             expected = pairwise_nodes(arr) - (arr.size - 1)
             assert adjunction_genus(total_class(arr)) == expected
+
+
+# The class of each role, written out here rather than taken from the
+# module, for the literal per-component references below.
+_ROLE_COEFFS = {Role.LINE: (1,), Role.FIBER: (1, 0), Role.SECTION: (0, 1)}
+
+
+def _literal_dual_graph(arr):
+    """The dual graph built component by component: one ``intersect`` per
+    weight and per pair, through the public constructor."""
+    classes = [(c.id, arr.surface.div(*_ROLE_COEFFS[c.role])) for c in arr.components]
+    minus_k = -canonical_class(arr.surface)
+    weights = {cid: intersect(minus_k, cls) for cid, cls in classes}
+    edges = [
+        (ci, cj, intersect(cls_i, cls_j))
+        for k, (ci, cls_i) in enumerate(classes)
+        for cj, cls_j in classes[k + 1:]
+    ]
+    return WeightedMultigraph(weights, edges), edges, [cls for _, cls in classes]
+
+
+def _reference_arrangements():
+    for m in range(1, 41):
+        yield general_lines(m)
+    for N in range(6):
+        for a in range(13):
+            for b in range(13):
+                if a + b >= 1:
+                    yield fibers_and_sections(N, a, b)
+
+
+class TestClosedForms:
+    """``dual_graph``, ``total_class`` and ``pairwise_nodes`` work per role;
+    each must equal the per-component construction it replaced."""
+
+    def test_dual_graph_is_the_literal_construction(self):
+        for arr in _reference_arrangements():
+            expected, _, _ = _literal_dual_graph(arr)
+            got = dual_graph(arr)
+            assert got == expected, str(arr.surface)
+            assert got.vertices == expected.vertices
+            assert got.to_json_dict() == expected.to_json_dict()
+
+    def test_counts_are_the_literal_sums(self):
+        for arr in _reference_arrangements():
+            _, edges, classes = _literal_dual_graph(arr)
+            nodes = sum(mult for _, _, mult in edges)
+            assert pairwise_nodes(arr) == nodes, (str(arr.surface), arr.size)
+            assert total_class(arr) == sum(classes[1:], classes[0])
+            assert contracted_singularities(arr) == nodes - (arr.size - 1)
 
 
 class TestSmoothingCheck:

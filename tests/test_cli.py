@@ -7,6 +7,7 @@ from horicert import (
     WeightedMultigraph,
     builtin,
     canonical_form,
+    complete_multipartite,
     verify_certificate,
 )
 from horicert.cli import run
@@ -110,6 +111,21 @@ class TestGraphCommands:
 
 
 class TestContractDecide:
+    def test_oversized_graph_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(complete_multipartite([[f"a{i}"] for i in range(13)], 2).to_json_dict()))
+        code, out, err = invoke(capsys, "contract-decide", "--graph", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err and "limited to 12 vertices" in err
+
+    def test_search_bound_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["contract-decide", "--builtin", "K1", "--max-vertices", "13"])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "--max-vertices" in err
+
     def test_builtin_search(self, capsys):
         code, out, _ = invoke(capsys, "contract-decide", "--builtin", "K1", "--format", "json")
         assert code == 0
@@ -273,9 +289,22 @@ class TestChermAndGenus:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("fn", "--N", "1", "--a", "-1", "--b", "1"),  # branch 2E, E = T - F
+            ("fn", "--N", "1", "--a", "-2", "--b", "3"),  # 2L.E = -4: E is a double fixed part
+        ],
+    )
+    def test_chern_rejects_branch_class_without_smooth_member(self, capsys, argv):
+        code, out, err = invoke(capsys, "chern", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err and "no smooth member" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("p2", "--d", "0"),
-            ("fn", "--N", "1", "--a", "-1", "--b", "1"),  # the negative section T - F
-            ("fn", "--N", "1", "--a", "-2", "--b", "3"),  # F + 3(T - F)
+            ("fn", "--N", "2", "--a", "-1", "--b", "1"),  # branch E + T with E = T - 2F
+            ("fn", "--N", "1", "--a", "0", "--b", "1"),
         ],
     )
     def test_chern_accepts_effective_class(self, capsys, argv):

@@ -200,7 +200,6 @@ class TestDecide:
         big = complete_multipartite([[f"a{i}"] for i in range(13)], 2)
         with pytest.raises(BoundExceededError):
             decide_contractible(big)
-        assert decide_contractible(big, max_vertices=13) is not None
 
     def test_merged_names_avoid_existing_ids(self):
         g = complete_multipartite([[f"m{i}"] for i in range(1, 6)], 2)
