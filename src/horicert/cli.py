@@ -18,7 +18,7 @@ from .contraction import (
     decide_contractible,
     verify_certificate,
 )
-from .multigraph import BUILTIN_NAMES, GraphError, WeightedMultigraph, builtin
+from .multigraph import GraphError, WeightedMultigraph
 from .pipeline import (
     cyclic_cover_factorization,
     decide_plane_double_cover,
@@ -108,7 +108,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("contract-decide", help="search for an admissible contraction certificate")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="path to a graph JSON document, or - for stdin")
-    src.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a named reference graph")
+    src.add_argument("--builtin", choices=fixtures.BUILTIN_NAMES, help="use a named reference graph")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--dot-dir", help="write one DOT file per intermediate graph")
 
@@ -149,7 +149,7 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
 
     p = sub.add_parser("builtin-dump", help="emit a named reference graph")
-    p.add_argument("name", choices=BUILTIN_NAMES)
+    p.add_argument("name", choices=fixtures.BUILTIN_NAMES)
     p.add_argument("--format", choices=("json", "dot", "text"), default="text")
 
     return parser
@@ -167,7 +167,7 @@ def run(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "contract-decide":
-        g = builtin(args.builtin) if args.builtin else _read_graph(args.graph)
+        g = fixtures.builtin(args.builtin) if args.builtin else _read_graph(args.graph)
         cert = decide_contractible(g)
         if cert is None:
             _emit("NO: exhaustive search found no admissible contraction sequence")
@@ -238,7 +238,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "builtin-dump":
-        _emit(_graph_document(builtin(args.name), args.format, name=args.name))
+        _emit(_graph_document(fixtures.builtin(args.name), args.format, name=args.name))
         return EXIT_OK
 
     raise GraphError(f"unknown command {args.command!r}")

@@ -36,13 +36,14 @@ The rule above is encoded once, in ``_admissible``, for the search,
 verification, absorption and :func:`feasible_l_range`.  The oracle is a
 second, literal encoding that shares no code with it or with
 :func:`contract`, so it can catch a fault in either.  The seed
-certificates ``K1``..``K4`` live only as JSON under ``fixtures/``.
+certificates ``K1``..``K4`` and their graphs live only as JSON under
+``fixtures/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .multigraph import (
     DEFAULT_MAX_VERTICES,
@@ -140,12 +141,11 @@ class ContractionCertificate:
 # ------------------------------------------------------------------ one step
 
 
-def next_merged_id(g: WeightedMultigraph) -> str:
-    """Smallest ``m<k>`` not already used as a vertex id."""
-    k = 1
-    while f"m{k}" in g:
+def _fresh_index(live: Container[str], k: int) -> int:
+    """Smallest ``j >= k`` such that ``m<j>`` is not in ``live``."""
+    while f"m{k}" in live:
         k += 1
-    return f"m{k}"
+    return k
 
 
 def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = None) -> WeightedMultigraph:
@@ -162,7 +162,7 @@ def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = 
     if g.multiplicity(v, w) < 1:
         raise NotAdjacentError(f"vertices {v!r} and {w!r} are not adjacent")
     if merged is None:
-        merged = next_merged_id(g)
+        merged = f"m{_fresh_index(g, 1)}"
     state = _Replay(g)
     state.merge(v, w, merged)
     return WeightedMultigraph._from_parts(state.weights, state.adj)
@@ -344,6 +344,8 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
 
     def search(h: WeightedMultigraph, groups: dict[str, int], name_index: int) -> list[ContractionStep] | None:
         adj, wt = h._adj, h._weights
+        k = _fresh_index(h, name_index)
+        merged = f"m{k}"
         for u, v in h.adjacent_pairs():
             mult = adj[u][v]
             deg_u = sum(adj[u].values())
@@ -358,10 +360,6 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
                 pair = (v, u)
             else:
                 continue
-            k = name_index
-            while f"m{k}" in h:
-                k += 1
-            merged = f"m{k}"
             if h.vertex_count == 2:
                 return [ContractionStep(pair, l, merged)]
             if deg_u + deg_v - 2 * mult <= 3:
@@ -386,11 +384,10 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     return ContractionCertificate(g, tuple(steps))
 
 
-def brute_force_oracle(
-    g: WeightedMultigraph,
-    max_vertices: int = 5,
-    max_total_multiplicity: int = 12,
-) -> bool:
+ORACLE_MAX_VERTICES = 5
+
+
+def brute_force_oracle(g: WeightedMultigraph, max_total_multiplicity: int = 12) -> bool:
     """Independent contractibility oracle: enumerate every sequence.
 
     Evaluates the definition literally, one candidate ordering and ``l`` at
@@ -399,11 +396,12 @@ def brute_force_oracle(
     admissibility kernel, so agreement with the search checks both.  A pair
     with some admissible candidate is merged once, since the merged graph
     depends on neither the ordering nor ``l``.  No memoization and no
-    pruning.  Size bounds keep the blow-up harmless; both can be raised
-    explicitly for exhaustive comparison runs.
+    pruning.  Size bounds keep the blow-up harmless: the vertex bound
+    ``ORACLE_MAX_VERTICES`` is fixed, the multiplicity bound can be raised
+    for exhaustive comparison runs.
     """
-    if g.vertex_count > max_vertices:
-        raise BoundExceededError(f"oracle limited to {max_vertices} vertices")
+    if g.vertex_count > ORACLE_MAX_VERTICES:
+        raise BoundExceededError(f"oracle limited to {ORACLE_MAX_VERTICES} vertices")
     names = g.vertices
     adj = g._adj
     matrix = [[adj[x].get(y, 0) for y in names] for x in names]
@@ -471,8 +469,7 @@ def lift_certificate(
     for step in cert.steps:
         v, w = step.pair
         gv, gw = phi[v], phi[w]
-        while f"m{name_index}" in live:
-            name_index += 1
+        name_index = _fresh_index(live, name_index)
         gm = f"m{name_index}"
         name_index += 1
         live -= {gv, gw}

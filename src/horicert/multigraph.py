@@ -8,8 +8,9 @@ never their identities.  Self-loops are not representable.
 
 Instances are immutable after construction and safe to share between
 threads.  All derived operations (contraction, certificates, searches)
-live in :mod:`horicert.contraction`; this module provides the data type,
-structural predicates, canonical forms and the named reference graphs.
+live in :mod:`horicert.contraction`, and the named reference graphs are
+the fixtures' initial graphs (:func:`horicert.fixtures.builtin`); this
+module provides the data type, structural predicates and canonical forms.
 """
 
 from __future__ import annotations
@@ -108,35 +109,29 @@ class WeightedMultigraph:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
+    def _row(self, v: str) -> dict[str, int]:
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+
     def multiplicity(self, u: str, v: str) -> int:
         """Number of edges joining ``u`` and ``v`` (0 when non-adjacent or equal)."""
-        try:
-            nbrs = self._adj[u]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {u!r}") from None
+        nbrs = self._row(u)
         if v not in self._weights:
             raise UnknownVertexError(f"unknown vertex {v!r}")
         return nbrs.get(v, 0)
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        try:
-            return tuple(self._adj[v])
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+        return tuple(self._row(v))
 
     def degree(self, v: str) -> int:
         """Number of incident edges, counted with multiplicity."""
-        try:
-            return sum(self._adj[v].values())
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+        return sum(self._row(v).values())
 
     def rdeg(self, v: str) -> int:
         """Reduced degree: number of distinct adjacent vertices."""
-        try:
-            return len(self._adj[v])
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+        return len(self._row(v))
 
     def adjacent_pairs(self) -> list[tuple[str, str]]:
         """Sorted list of adjacent pairs ``(u, v)`` with ``u < v``."""
@@ -191,12 +186,8 @@ class WeightedMultigraph:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping, require_positive_weights: bool = False) -> "WeightedMultigraph":
-        """Parse the ``{"vertices": [...], "edges": [...]}`` wire format.
-
-        ``require_positive_weights`` rejects weights < 1 at parse time; off by
-        default because the graph model itself permits arbitrary integers.
-        """
+    def from_json_dict(cls, data: Mapping) -> "WeightedMultigraph":
+        """Parse the ``{"vertices": [...], "edges": [...]}`` wire format."""
         try:
             vertices = data["vertices"]
             edges = data.get("edges", [])
@@ -214,10 +205,6 @@ class WeightedMultigraph:
         weights = dict(items)
         if len(weights) != len(items):
             raise GraphError("duplicate vertex id in graph document")
-        if require_positive_weights:
-            for v, w in weights.items():
-                if w < 1:
-                    raise GraphError(f"vertex {v!r} has non-positive weight {w}")
         return cls(weights, edge_entries)
 
     def to_dot(self, name: str = "G") -> str:
@@ -395,7 +382,7 @@ def canonical_form(g: WeightedMultigraph, max_vertices: int = DEFAULT_MAX_VERTIC
     return (n, tuple(rows))
 
 
-# ---------------------------------------------------------------------- builtins
+# ---------------------------------------------------------------------- builders
 
 
 def complete_multipartite(parts: Iterable[Iterable[str]], weight: int) -> WeightedMultigraph:
@@ -409,30 +396,3 @@ def complete_multipartite(parts: Iterable[Iterable[str]], weight: int) -> Weight
         for v in q
     ]
     return WeightedMultigraph(weights, edges)
-
-
-BUILTIN_NAMES = ("K1", "K2", "K3", "K4", "example-G")
-
-
-def builtin(name: str) -> WeightedMultigraph:
-    """Named reference graphs used throughout the test corpus.
-
-    ``K1``..``K4`` are the four weight-2 seed graphs of the multipartite
-    contraction procedure (complete on 5; tripartite 2+2+2; tripartite
-    1+3+3; bipartite 4+4).  ``example-G`` is the weight-3 triangle with
-    doubled edges used to illustrate a single admissible contraction.
-    """
-    if name == "K1":
-        return complete_multipartite([[f"v{i}"] for i in range(1, 6)], 2)
-    if name == "K2":
-        return complete_multipartite([["v1", "v4"], ["v2", "v5"], ["v3", "v6"]], 2)
-    if name == "K3":
-        return complete_multipartite([["v1"], ["v2", "v4", "v6"], ["v3", "v5", "v7"]], 2)
-    if name == "K4":
-        return complete_multipartite([["v1", "v3", "v5", "v7"], ["v2", "v4", "v6", "v8"]], 2)
-    if name == "example-G":
-        return WeightedMultigraph(
-            {"v1": 3, "v2": 3, "v3": 3},
-            [("v1", "v2", 2), ("v1", "v3", 2), ("v2", "v3", 2)],
-        )
-    raise GraphError(f"unknown builtin graph {name!r}; choose one of {', '.join(BUILTIN_NAMES)}")

@@ -12,9 +12,10 @@ obstructs hyperbolicity.  Nothing here decides hyperbolicity itself: a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .arrangements import Arrangement, check_arrangement_smoothing, fibers_and_sections, general_lines
+from .multigraph import BoundExceededError
 from .report import Obligation, ObligationReport, Verdict, axiom, check, group
 from .surfaces import (
     SPLIT,
@@ -28,28 +29,6 @@ from .surfaces import (
     intersect,
     rh_pullback_genus,
 )
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A branched-cover problem: base surface, branch class, cover degree."""
-
-    surface: Surface
-    branch_class: DivClass
-    cover_degree: int
-
-    def __post_init__(self):
-        if self.branch_class.surface != self.surface:
-            raise SurfaceMismatchError(f"branch class {self.branch_class} is not on {self.surface}")
-        if self.cover_degree < 2:
-            raise ValueError(f"cover degree must be >= 2, got {self.cover_degree}")
-
-    def quotient_class(self) -> DivClass:
-        """The class ``L`` with ``branch = cover_degree * L``."""
-        n = self.cover_degree
-        if any(c % n != 0 for c in self.branch_class.coeffs):
-            raise ValueError(f"branch class {self.branch_class} is not divisible by {n}")
-        return DivClass(self.surface, tuple(c // n for c in self.branch_class.coeffs))
 
 
 # ------------------------------------------------------------------ fragments
@@ -300,16 +279,23 @@ def decide_ruled_double_cover(N: int, a: int, b: int) -> ObligationReport:
     return _decide_yes(surface, half, branch, fibers_and_sections(N, a // 2, b // 2))
 
 
+MAX_FACTOR_DEGREE = 10**12
+
+
 def cyclic_cover_factorization(d: int) -> tuple[int, int] | None:
     """Factor ``d = d1 * d2`` with ``d1 >= 2`` and ``d2 >= 5``, smallest ``d1``.
 
     Such a split is what lets a degree-``d`` cyclic cover of the plane be
     built over a degree-``d1`` cover with hyperbolic genus bounds on the
-    degree-``d2`` half; ``None`` means no admissible split exists.
+    degree-``d2`` half; ``None`` means no admissible split exists.  Every
+    divisor ``d1 >= 2`` is at least the smallest prime factor ``p`` of
+    ``d``, so the answer is ``(p, d // p)`` when ``d // p >= 5`` and
+    ``None`` otherwise; ``p`` is found by trial division up to ``isqrt(d)``,
+    and ``d`` is limited to ``MAX_FACTOR_DEGREE`` so that stays fast.
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise ValueError(f"degree must be an integer >= 2, got {d!r}")
-    for d1 in range(2, d // 5 + 1):
-        if d % d1 == 0:
-            return d1, d // d1
-    return None
+    if d > MAX_FACTOR_DEGREE:
+        raise BoundExceededError(f"factorization limited to degree {MAX_FACTOR_DEGREE}, got {d}")
+    p = next((q for q in range(2, math.isqrt(d) + 1) if d % q == 0), d)
+    return (p, d // p) if d // p >= 5 else None

@@ -214,10 +214,6 @@ class ChernData:
                 f"inconsistent Chern data: {self.c1_sq} + {self.c2} != 12 * {self.chi}"
             )
 
-    def noether_gap(self) -> int:
-        """Slack in the Noether inequality ``c2 <= 5*c1^2 + 36``."""
-        return 5 * self.c1_sq + 36 - self.c2
-
     def horikawa_case(self) -> str | None:
         """Which Noether-line equality holds, if any.
 

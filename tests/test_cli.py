@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -63,6 +64,20 @@ class TestFactorCommand:
         code, out, _ = invoke(capsys, "factor", "--d", "7")
         assert code == 2
         assert out.strip() == "NONE"
+
+    @pytest.mark.parametrize("d", ["1000000007", "10000000019"])
+    def test_large_prime_answers_at_once(self, capsys, d):
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "factor", "--d", d)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out.strip() == "NONE"
+
+    def test_degree_above_the_bound_exits_3(self, capsys):
+        code, out, err = invoke(capsys, "factor", "--d", str(10**12 + 1))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestGraphCommands:

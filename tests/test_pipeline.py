@@ -4,7 +4,6 @@ from horicert import (
     ContractionCertificate,
     ObligationReport,
     P2,
-    Scenario,
     SurfaceMismatchError,
     Verdict,
     check_cyclic_cover_setup,
@@ -203,27 +202,21 @@ class TestFactorization:
                 for smaller in range(2, got[0]):
                     assert not (d % smaller == 0 and d // smaller >= 5), d
 
+    def test_matches_the_literal_loop(self):
+        for d in range(2, 5001):
+            literal = next(((d1, d // d1) for d1 in range(2, d // 5 + 1) if d % d1 == 0), None)
+            assert cyclic_cover_factorization(d) == literal, d
+
+    def test_semiprime_near_the_bound(self):
+        # 999983 and 1000003 are the primes on either side of 10**6.
+        assert cyclic_cover_factorization(999983 * 1000003) == (999983, 1000003)
+        assert cyclic_cover_factorization(10**12) == (2, 5 * 10**11)
+
     def test_bad_input(self):
         with pytest.raises(ValueError):
             cyclic_cover_factorization(1)
-
-
-class TestScenario:
-    def test_quotient_class(self):
-        sc = Scenario(P2, P2.div(10), 2)
-        assert sc.quotient_class() == P2.div(5)
-        sc3 = Scenario(hirzebruch(1), hirzebruch(1).div(9, 6), 3)
-        assert sc3.quotient_class() == hirzebruch(1).div(3, 2)
-
-    def test_indivisible(self):
-        with pytest.raises(ValueError):
-            Scenario(P2, P2.div(9), 2).quotient_class()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Scenario(P2, P2.div(10), 1)
-        with pytest.raises(SurfaceMismatchError):
-            Scenario(P2, hirzebruch(0).div(2, 2), 2)
+        with pytest.raises(ValueError, match="limited"):
+            cyclic_cover_factorization(10**12 + 1)
 
 
 class TestReportInvariants:

@@ -160,7 +160,6 @@ class TestDoubleCoverChern:
 
     def test_odd_case_flag(self):
         assert ChernData(c1_sq=5, c2=55, chi=5).horikawa_case() == "odd"
-        assert ChernData(c1_sq=8, c2=76, chi=7).noether_gap() == 0
         assert ChernData(c1_sq=18, c2=114, chi=11).horikawa_case() is None
 
 
