@@ -85,10 +85,18 @@ class TestConstruction:
         assert g.adjacent_pairs() == []
 
     def test_equality_and_hash(self):
+        # builtin() shares one cached graph, so compare it with copies built
+        # independently: equality and hash must not rest on identity.
         g1 = builtin("K1")
-        g2 = builtin("K1")
-        assert g1 == g2
-        assert hash(g1) == hash(g2)
+        copies = [
+            WeightedMultigraph.from_json_dict(g1.to_json_dict()),
+            complete_multipartite([[f"v{i}"] for i in range(1, 6)], 2),
+        ]
+        for g2 in copies:
+            assert g1 is not g2
+            assert g1 == g2
+            assert hash(g1) == hash(g2)
+        assert len({g1, *copies}) == 1
 
 
 class TestMultipartite:
