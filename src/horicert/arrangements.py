@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .multigraph import BoundExceededError, WeightedMultigraph
 from .report import Obligation, axiom, check, group
@@ -25,8 +24,9 @@ from . import contraction
 
 
 # Largest arrangement built: the YES path costs about m^2 time and memory
-# in the number m of components (the dual graph has m(m-1)/2 edges, and
-# absorbing and verifying its certificate replay m - 1 merges of O(m) each).
+# in the number m of components (the dual graph has m(m-1)/2 edges, built
+# one row per role and copied per vertex, and absorbing and verifying its
+# certificate sum each pair of components once over m - 1 merges).
 MAX_COMPONENTS = 256
 
 
@@ -71,7 +71,11 @@ class Arrangement:
             if comp.id in ids:
                 raise ValueError(f"duplicate component id {comp.id!r}")
             ids.add(comp.id)
-        self.role_classes()  # a role on the wrong kind of surface raises here
+        # Counted once here, since every number of the arrangement asks for
+        # them; a role on the wrong kind of surface raises here.
+        counts = Counter(c.role for c in self.components)
+        classes = {role: (role.cls(self.surface), n) for role, n in counts.items()}
+        object.__setattr__(self, "_role_classes", classes)
 
     @property
     def size(self) -> int:
@@ -80,8 +84,7 @@ class Arrangement:
     def role_classes(self) -> dict[Role, tuple[DivClass, int]]:
         """Each role present, in order of first appearance, with its class
         and its number of components."""
-        counts = Counter(c.role for c in self.components)
-        return {role: (role.cls(self.surface), n) for role, n in counts.items()}
+        return dict(self._role_classes)
 
 
 def general_lines(m: int) -> Arrangement:
@@ -123,18 +126,30 @@ def from_shorthand(text: str) -> Arrangement:
 
 def dual_graph(arr: Arrangement) -> WeightedMultigraph:
     """Dual graph: one vertex per component, weight ``-K.C``, multiplicity
-    ``C_i.C_j``, each computed once per role or pair of roles."""
-    classes = {role: cls for role, (cls, _) in arr.role_classes().items()}
+    ``C_i.C_j``, each computed once per role or pair of roles.
+
+    Components of one role have the same row: the multiplicity to every
+    other component, in id order.  So each role's row is built once and
+    each vertex's row is a copy of it without the vertex itself.
+    """
+    role_classes = arr.role_classes()
+    classes = [cls for cls, _ in role_classes.values()]
+    index = {role: k for k, role in enumerate(role_classes)}
     minus_k = -canonical_class(arr.surface)
-    weight = {role: intersect(minus_k, cls) for role, cls in classes.items()}
-    mult = {}
-    for r, s in combinations_with_replacement(classes, 2):
-        mult[r, s] = mult[s, r] = intersect(classes[r], classes[s])
-    comps = arr.components
-    edges = [
-        (ci.id, cj.id, mult[ci.role, cj.role]) for i, ci in enumerate(comps) for cj in comps[i + 1:]
-    ]
-    return WeightedMultigraph({c.id: weight[c.role] for c in comps}, edges)
+    weight = [intersect(minus_k, cls) for cls in classes]
+    comps = sorted(arr.components, key=lambda c: c.id)
+    ids = [c.id for c in comps]
+    kinds = [index[c.role] for c in comps]
+    role_rows = []
+    for cls in classes:
+        mult = [intersect(cls, other) for other in classes]
+        role_rows.append({x: mult[k] for x, k in zip(ids, kinds) if mult[k]})
+    weights, adj = {}, {}
+    for x, k in zip(ids, kinds):
+        weights[x] = weight[k]
+        row = adj[x] = role_rows[k].copy()
+        row.pop(x, None)
+    return WeightedMultigraph._from_parts(weights, adj)
 
 
 def total_class(arr: Arrangement) -> DivClass:

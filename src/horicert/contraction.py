@@ -25,12 +25,15 @@ The search stops at any state with a vertex that can never be merged
 failure memo by the partition of the input's vertices into merged groups,
 which fixes the state exactly and costs no canonical form.
 
-Verification and absorption replay their steps on one mutable copy of
-the graph that tracks every degree: a step touches only the rows of the
-pair's neighbours, so ``m - 1`` steps on ``m`` vertices cost O(m^2).
+Verification and absorption replay their steps without copying or
+rewriting the graph: they keep, for each current vertex, the group of
+original vertices merged into it, and read a multiplicity as the sum of
+the original multiplicities between two groups.  Each pair of original
+vertices is summed by the merge that joins it and by no other, so
+``m - 1`` steps on ``m`` vertices cost O(m^2) in total.
 :func:`contract`, the public one-step function used by the search and by
-:meth:`ContractionCertificate.replay`, makes one such step on a fresh
-copy and returns it as a new graph.
+:meth:`ContractionCertificate.replay`, builds the child graph whole, row
+by row in sorted order, since the search goes on from it.
 
 The rule above is encoded once, in ``_admissible``, for the search,
 verification, absorption and :func:`feasible_l_range`.  The oracle is a
@@ -43,6 +46,7 @@ certificates ``K1``..``K4`` and their graphs live only as JSON under
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Container, Iterable, Mapping
 
 from .multigraph import (
@@ -154,18 +158,51 @@ def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = 
     The merged vertex weighs ``wt(v) + wt(w)`` and is joined to every
     bystander ``x`` by ``mult(v, x) + mult(w, x)`` edges; the pair's own
     edges vanish.  The result does not depend on any admissibility
-    parameter.  ``merged`` defaults to a fresh ``m<k>`` id.  Copying and
-    re-sorting ``g`` makes one call O(m^2 log m); replay a list of steps
-    on one ``_Replay`` instead.
+    parameter.  ``merged`` defaults to a fresh ``m<k>`` id.  One call
+    builds the child graph row by row in sorted order, in O(m^2) time
+    for ``m`` vertices; to check a list of steps, replay them on one
+    ``_Replay`` instead.
     """
     v, w = pair
     if g.multiplicity(v, w) < 1:
         raise NotAdjacentError(f"vertices {v!r} and {w!r} are not adjacent")
     if merged is None:
         merged = f"m{_fresh_index(g, 1)}"
-    state = _Replay(g)
-    state.merge(v, w, merged)
-    return WeightedMultigraph._from_parts(state.weights, state.adj)
+    elif merged in g._weights and merged != v and merged != w:
+        raise GraphError(f"merged id {merged!r} collides with an existing vertex")
+    old_wt, old_adj = g._weights, g._adj
+    row_v, row_w = old_adj[v], old_adj[w]
+    weights: dict[str, int] = {}
+    adj: dict[str, dict[str, int]] = {}
+    merged_row: dict[str, int] = {}
+    pending = True  # the merged vertex is not yet placed in sorted order
+    for x in g._vertices:
+        if x == v or x == w:
+            continue
+        if pending and merged < x:
+            weights[merged] = old_wt[v] + old_wt[w]
+            adj[merged] = merged_row
+            pending = False
+        weights[x] = old_wt[x]
+        m = row_v.get(x, 0) + row_w.get(x, 0)
+        if m:
+            merged_row[x] = m
+            row = {}
+            for y, k in old_adj[x].items():
+                if m and merged < y:  # m is cleared once the merged entry is placed
+                    row[merged] = m
+                    m = 0
+                if y != v and y != w:
+                    row[y] = k
+            if m:
+                row[merged] = m
+        else:
+            row = old_adj[x].copy()
+        adj[x] = row
+    if pending:
+        weights[merged] = old_wt[v] + old_wt[w]
+        adj[merged] = merged_row
+    return WeightedMultigraph._from_parts(weights, adj)
 
 
 def _admissible(
@@ -194,55 +231,76 @@ def _admissible(
 
 
 class _Replay:
-    """A graph contracted in place, for replaying a list of steps.
+    """A graph contracted step by step, for replaying a list of steps.
 
-    Holds the weights, the adjacency rows (in no particular order), each
-    vertex's degree and the set ``low`` of vertices of degree below 3.  A
-    merge never changes a bystander's degree, because
-    ``mult(x, merged) = mult(x, v) + mult(x, w)``; the merged vertex's
-    degree is ``deg v + deg w - 2 mult(v, w)``.  So a merge touches only
-    the rows of the pair's neighbours and costs O(m).
+    Never copies or rewrites an adjacency row: ``rows`` is the original
+    graph's adjacency, shared read-only, and ``groups`` maps each current
+    vertex to the original vertices merged into it.  Multiplicities add up
+    over groups, so ``mult(u, v)`` sums the original multiplicities between
+    the two groups.  It also holds the current weights, each vertex's
+    degree and the set ``low`` of vertices of degree below 3.  A merge never
+    changes a bystander's degree, because ``mult(x, merged) = mult(x, v) +
+    mult(x, w)``; the merged vertex's degree is ``deg v + deg w - 2 mult(v,
+    w)``.  Each pair of original vertices is joined by one merge only, so
+    the pair multiplicities of all the merges of a replay on ``m``
+    vertices take at most ``m(m-1)/2`` lookups.
     """
 
-    __slots__ = ("weights", "adj", "deg", "low")
+    __slots__ = ("rows", "groups", "weights", "deg", "low")
 
     def __init__(self, g: WeightedMultigraph):
+        self.rows = g._adj
+        self.groups = {x: [x] for x in g._vertices}
         self.weights = dict(g._weights)
-        self.adj = {x: dict(row) for x, row in g._adj.items()}
-        self.deg = {x: sum(row.values()) for x, row in self.adj.items()}
+        self.deg = {x: sum(row.values()) for x, row in g._adj.items()}
         self.low = {x for x, d in self.deg.items() if d < 3}
 
-    def admissible(self, u: str, v: str) -> tuple[int, int, int] | None:
-        """:func:`_admissible` for two vertices of the current graph."""
-        wt, deg = self.weights, self.deg
-        return _admissible(u, v, self.adj[u].get(v, 0), wt[u], wt[v], deg[u], deg[v], self.low)
+    def mult(self, u: str, v: str) -> int:
+        """Multiplicity of two current vertices (0 when ``u == v``)."""
+        if u == v:
+            return 0
+        small, large = self.groups[u], self.groups[v]
+        if len(small) > len(large):
+            small, large = large, small
+        rows = self.rows
+        return sum([sum(map(rows[x].get, large, repeat(0))) for x in small])
 
-    def merge(self, v: str, w: str, merged: str) -> None:
-        """Contract the pair of current vertices ``v``, ``w`` into ``merged``,
-        raising what :func:`contract` raises."""
-        adj = self.adj
-        mult = adj[v].get(w, 0)
-        if mult < 1:
-            raise NotAdjacentError(f"vertices {v!r} and {w!r} are not adjacent")
-        if merged in self.weights and merged != v and merged != w:
+    def admissible(self, u: str, v: str, mult: int) -> tuple[int, int, int] | None:
+        """:func:`_admissible` for two current vertices joined by ``mult`` edges."""
+        wt, deg = self.weights, self.deg
+        return _admissible(u, v, mult, wt[u], wt[v], deg[u], deg[v], self.low)
+
+    def merge(self, v: str, w: str, merged: str, mult: int) -> None:
+        """Contract the pair of current vertices ``v``, ``w``, joined by
+        ``mult >= 1`` edges, into ``merged``; raises :class:`GraphError`
+        when ``merged`` is the id of another current vertex."""
+        weights, groups = self.weights, self.groups
+        if merged in weights and merged != v and merged != w:
             raise GraphError(f"merged id {merged!r} collides with an existing vertex")
-        row = adj.pop(v)
-        row_w = adj.pop(w)
-        del row[w], row_w[v]
-        for x, m in row_w.items():
-            row[x] = row.get(x, 0) + m
-        for x, m in row.items():
-            row_x = adj[x]
-            row_x.pop(v, None)
-            row_x.pop(w, None)
-            row_x[merged] = m
-        adj[merged] = row
-        self.weights[merged] = self.weights.pop(v) + self.weights.pop(w)
+        group, other = groups.pop(v), groups.pop(w)
+        if len(group) < len(other):
+            group, other = other, group
+        group += other
+        groups[merged] = group
+        weights[merged] = weights.pop(v) + weights.pop(w)
         deg = self.deg[merged] = self.deg.pop(v) + self.deg.pop(w) - 2 * mult
         self.low.discard(v)
         self.low.discard(w)
         if deg < 3:
             self.low.add(merged)
+
+    def graph(self) -> WeightedMultigraph:
+        """The current graph, built row by row in sorted order."""
+        ids = sorted(self.weights)
+        adj: dict[str, dict[str, int]] = {x: {} for x in ids}
+        for i, u in enumerate(ids):
+            row_u = adj[u]
+            for v in ids[i + 1:]:
+                m = self.mult(u, v)
+                if m:
+                    row_u[v] = m
+                    adj[v][u] = m
+        return WeightedMultigraph._from_parts({x: self.weights[x] for x in ids}, adj)
 
 
 def feasible_l_range(g: WeightedMultigraph, v: str, w: str) -> tuple[int, ...]:
@@ -254,7 +312,7 @@ def feasible_l_range(g: WeightedMultigraph, v: str, w: str) -> tuple[int, ...]:
     """
     if v == w or g.multiplicity(v, w) < 1:
         raise NotAdjacentError(f"vertices {v!r} and {w!r} are not adjacent")
-    bounds = _Replay(g).admissible(v, w)
+    bounds = _Replay(g).admissible(v, w, g._adj[v][w])
     if bounds is None:
         return ()
     lo, hi, _ = bounds
@@ -273,8 +331,9 @@ def verify_certificate(cert: ContractionCertificate, require_singleton: bool = T
     weight; switch it off to check a certificate prefix.  Steps that name
     unknown vertices raise :class:`UnknownVertexError`, and an admissible
     step whose ``merged`` id is another vertex's raises :class:`GraphError`.
-    The steps are replayed in place, degrees tracked as they change, so a
-    certificate for ``m`` vertices is checked in O(m^2) time.
+    The steps are replayed on merge groups of the initial graph, degrees
+    tracked as they change, so a certificate for ``m`` vertices is checked
+    in O(m^2) time with no adjacency row copied or rewritten.
     """
     state = _Replay(cert.initial)
     for step in cert.steps:
@@ -283,13 +342,14 @@ def verify_certificate(cert: ContractionCertificate, require_singleton: bool = T
             raise UnknownVertexError(f"step references missing vertex {v!r}")
         if w not in state.weights:
             raise UnknownVertexError(f"step references missing vertex {w!r}")
-        bounds = state.admissible(v, w)
+        mult = state.mult(v, w)
+        bounds = state.admissible(v, w, mult)
         if bounds is None:
             return False
         lo, hi_vw, hi_wv = bounds
         if not lo <= step.l <= max(hi_vw, hi_wv):
             return False
-        state.merge(v, w, step.merged)
+        state.merge(v, w, step.merged, mult)
     if require_singleton:
         if len(state.weights) != 1:
             return False
@@ -526,18 +586,20 @@ def absorb_submultigraph(
             )
     steps: list[ContractionStep] = []
     state = _Replay(g)
+    kept = sorted(h_set)
     # Every merge keeps the kept vertex's id, so the vertices left outside
-    # are those of g not yet absorbed; they go smallest first.
+    # are those of g not yet absorbed; they go smallest first, each into
+    # its smallest adjacent kept vertex.
     for w in [x for x in g.vertices if x not in h_set]:
-        v = min((u for u in state.adj[w] if u in h_set), default=None)
-        bounds = None if v is None else state.admissible(w, v)
+        v, mult = next(((u, m) for u in kept if (m := state.mult(w, u))), (None, 0))
+        bounds = None if v is None else state.admissible(w, v, mult)
         if bounds is None or not bounds[0] == 0 <= bounds[1]:
             raise PreconditionError(
                 f"absorption step for {w!r} is not admissible", witness=w
             )  # unreachable under the checked preconditions
         steps.append(ContractionStep((w, v), 0, v))
-        state.merge(w, v, v)
-    return tuple(steps), WeightedMultigraph._from_parts(state.weights, state.adj)
+        state.merge(w, v, v, mult)
+    return tuple(steps), state.graph()
 
 
 def contract_multipartite(g: WeightedMultigraph) -> ContractionCertificate:

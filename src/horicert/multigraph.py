@@ -16,6 +16,7 @@ module provides the data type, structural predicates and canonical forms.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -50,42 +51,53 @@ class WeightedMultigraph:
         wt: dict[str, int] = {}
         for v in sorted(weights):
             w = weights[v]
-            if not isinstance(w, int) or isinstance(w, bool):
+            if type(w) is not int and (not isinstance(w, int) or isinstance(w, bool)):
                 raise GraphError(f"weight of {v!r} must be an integer, got {w!r}")
             wt[str(v)] = w
         adj: dict[str, dict[str, int]] = {v: {} for v in wt}
+        row_of = adj.get
         for entry in edges:
-            if len(entry) == 2:
+            if len(entry) == 3:
+                u, v, mult = entry
+            elif len(entry) == 2:
                 u, v = entry
                 mult = 1
-            elif len(entry) == 3:
-                u, v, mult = entry
             else:
                 raise GraphError(f"edge entry must be (u, v) or (u, v, mult), got {entry!r}")
-            if u not in wt or v not in wt:
-                missing = u if u not in wt else v
+            row_u, row_v = row_of(u), row_of(v)
+            if row_u is None or row_v is None:
+                missing = u if row_u is None else v
                 raise UnknownVertexError(f"edge endpoint {missing!r} is not a vertex")
             if u == v:
                 raise GraphError(f"self-loop at {u!r} is not allowed")
-            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
+            if (type(mult) is not int and (not isinstance(mult, int) or isinstance(mult, bool))) or mult < 0:
                 raise GraphError(f"multiplicity of ({u!r}, {v!r}) must be a non-negative integer")
-            if mult == 0:
-                continue
-            adj[u][v] = adj[u].get(v, 0) + mult
-            adj[v][u] = adj[v].get(u, 0) + mult
+            if mult:
+                if v in row_u:
+                    row_u[v] += mult
+                    row_v[u] += mult
+                else:
+                    row_u[v] = row_v[u] = mult
+        for v, nbrs in adj.items():
+            keys = sorted(nbrs)
+            if keys != list(nbrs):  # edges listed in sorted order need no re-sort
+                adj[v] = {x: nbrs[x] for x in keys}
         self._weights = wt
-        self._adj = {v: dict(sorted(nbrs.items())) for v, nbrs in adj.items()}
+        self._adj = adj
         self._vertices = tuple(wt)
         self._hash: int | None = None
 
     @classmethod
     def _from_parts(cls, weights: dict[str, int], adj: dict[str, dict[str, int]]) -> "WeightedMultigraph":
         # Trusted fast path for internal construction; takes ownership of both
-        # dicts and re-sorts them so iteration order stays deterministic.
+        # dicts without checking or sorting them.  The caller must build them
+        # as the public constructor would: ``weights`` and ``adj`` with the
+        # same keys in sorted order, every row symmetric, free of zeros and
+        # self-loops, and iterating in sorted order.
         self = cls.__new__(cls)
-        self._weights = dict(sorted(weights.items()))
-        self._adj = {v: dict(sorted(adj[v].items())) for v in self._weights}
-        self._vertices = tuple(self._weights)
+        self._weights = weights
+        self._adj = adj
+        self._vertices = tuple(weights)
         self._hash = None
         return self
 
@@ -180,9 +192,16 @@ class WeightedMultigraph:
     # ------------------------------------------------------------------ formats
 
     def to_json_dict(self) -> dict:
+        # edge_items, inlined for the m(m-1)/2 edges of a certificate: each
+        # row is sorted, so its entries after u form a suffix.
+        edges = []
+        for u in self._vertices:
+            row = self._adj[u]
+            keys = list(row)
+            edges += [{"u": u, "v": v, "mult": row[v]} for v in keys[bisect_right(keys, u):]]
         return {
             "vertices": [{"id": v, "wt": self._weights[v]} for v in self._vertices],
-            "edges": [{"u": u, "v": v, "mult": m} for u, v, m in self.edge_items()],
+            "edges": edges,
         }
 
     @classmethod
@@ -199,9 +218,10 @@ class WeightedMultigraph:
             if not isinstance(v, str):
                 raise GraphError(f"malformed graph document: vertex id must be a string, got {v!r}")
         for u, v, _ in edge_entries:
-            for x in (u, v):
-                if not isinstance(x, str):
-                    raise GraphError(f"malformed graph document: edge endpoint must be a string, got {x!r}")
+            if type(u) is not str or type(v) is not str:
+                for x in (u, v):
+                    if not isinstance(x, str):
+                        raise GraphError(f"malformed graph document: edge endpoint must be a string, got {x!r}")
         weights = dict(items)
         if len(weights) != len(items):
             raise GraphError("duplicate vertex id in graph document")
@@ -245,20 +265,24 @@ def multipartite_partition(g: WeightedMultigraph) -> Partition | None:
     i.e. when some vertex is non-adjacent to two vertices that are
     adjacent to each other.
     """
-    blocks: dict[frozenset[str], None] = {}
+    adj = g._adj
+    n = len(adj)
+    blocks = []
     seen: set[str] = set()
     for v in g.vertices:
         if v in seen:
             continue
-        nbrs = set(g.neighbors(v))
-        block = frozenset(u for u in g.vertices if u == v or u not in nbrs)
-        # Non-adjacency is an equivalence relation iff every member of the
-        # block has exactly the complement of the block as neighbours.
-        complement = set(g.vertices) - block
+        nbrs = adj[v].keys()
+        if len(nbrs) == n - 1:
+            blocks.append(frozenset((v,)))
+            continue
+        # Non-adjacency is an equivalence relation iff every vertex not
+        # adjacent to v (v included) has exactly v's neighbours.
+        block = adj.keys() - nbrs
         for u in block:
-            if set(g.neighbors(u)) != complement:
+            if adj[u].keys() != nbrs:
                 return None
-        blocks[block] = None
+        blocks.append(frozenset(block))
         seen |= block
     classes = sorted(blocks, key=lambda c: (len(c), min(c)))
     return Partition(tuple(classes))

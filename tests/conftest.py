@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for random graphs and arrangements."""
+"""Shared hypothesis strategies for random graphs and arrangements, and
+shared reference checks."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import itertools
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from horicert import WeightedMultigraph
+from horicert import UnknownVertexError, WeightedMultigraph, contract
+from horicert import contraction
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -73,4 +75,57 @@ def relabelled(g: WeightedMultigraph, permutation: dict[str, str]) -> WeightedMu
     )
 
 
-__all__ = ["graphs", "multipartite_graphs", "certifiable_multipartite_graphs", "relabelled"]
+def assert_sorted_layout(g: WeightedMultigraph) -> None:
+    """``g`` is laid out as the public constructor lays it out.
+
+    Graphs built internally skip the constructor's sorting, so this checks
+    its result directly: vertices in sorted order, one adjacency row per
+    vertex in that order, every row symmetric, free of self-loops and zeros
+    and iterating in sorted order, and equality (neighbour order included)
+    with the same graph rebuilt through the public constructor.
+    """
+    verts = g.vertices
+    assert verts == tuple(sorted(verts))
+    assert tuple(g._adj) == verts
+    for v in verts:
+        nbrs = g.neighbors(v)
+        assert list(nbrs) == sorted(nbrs)
+        assert v not in nbrs
+        assert all(g.multiplicity(x, v) == g.multiplicity(v, x) > 0 for x in nbrs)
+    rebuilt = WeightedMultigraph(
+        {v: g.weight(v) for v in verts},
+        [(u, v, g.multiplicity(u, v)) for u in verts for v in g.neighbors(u) if u < v],
+    )
+    assert g == rebuilt
+    assert all(g.neighbors(v) == rebuilt.neighbors(v) for v in verts)
+
+
+def reference_verify(cert, require_singleton=True):
+    """``verify_certificate`` as a chain of :func:`contract` calls, asking the
+    kernel with degrees summed afresh from every intermediate graph."""
+    g = cert.initial
+    for step in cert.steps:
+        v, w = step.pair
+        for x in (v, w):
+            if x not in g:
+                raise UnknownVertexError(x)
+        low = {x for x in g.vertices if g.degree(x) < 3}
+        bounds = contraction._admissible(
+            v, w, g.multiplicity(v, w), g.weight(v), g.weight(w), g.degree(v), g.degree(w), low
+        )
+        if bounds is None or not bounds[0] <= step.l <= max(bounds[1], bounds[2]):
+            return False
+        g = contract(g, (v, w), step.merged)
+    if require_singleton:
+        return g.is_singleton() and g.total_weight() == cert.initial.total_weight()
+    return True
+
+
+__all__ = [
+    "graphs",
+    "multipartite_graphs",
+    "certifiable_multipartite_graphs",
+    "relabelled",
+    "assert_sorted_layout",
+    "reference_verify",
+]

@@ -1,13 +1,17 @@
 import pytest
 
+from conftest import assert_sorted_layout
 from horicert import (
     P2,
     BoundExceededError,
+    PreconditionError,
     SurfaceMismatchError,
     WeightedMultigraph,
+    absorb_submultigraph,
     adjunction_genus,
     canonical_class,
     check_arrangement_smoothing,
+    contract,
     contracted_singularities,
     dual_graph,
     fibers_and_sections,
@@ -19,6 +23,7 @@ from horicert import (
     total_class,
     verify_certificate,
 )
+from horicert import contraction
 from horicert.arrangements import MAX_COMPONENTS, Arrangement, Component, Role, from_shorthand
 
 
@@ -194,6 +199,25 @@ class TestClosedForms:
             assert got == expected, str(arr.surface)
             assert got.vertices == expected.vertices
             assert got.to_json_dict() == expected.to_json_dict()
+
+    def test_derived_graphs_keep_the_sorted_layout(self):
+        # dual_graph, contract, _Replay.graph() and absorb_submultigraph build
+        # their graphs without the public constructor's sorting.  "G" sorts
+        # between the fiber and the line/section ids.
+        for arr in _reference_arrangements():
+            g = dual_graph(arr)
+            assert_sorted_layout(g)
+            assert_sorted_layout(contraction._Replay(g).graph())
+            pairs = g.adjacent_pairs()
+            if pairs:
+                u, v = pairs[len(pairs) // 2]
+                for merged in ("G", "m1", u, v):
+                    assert_sorted_layout(contract(g, (u, v), merged))
+            try:
+                _, reduced = absorb_submultigraph(g, g.vertices[-6:])
+            except PreconditionError:
+                continue
+            assert_sorted_layout(reduced)
 
     def test_counts_are_the_literal_sums(self):
         for arr in _reference_arrangements():

@@ -30,6 +30,7 @@ from horicert import (
     multipartite_partition,
     verify_certificate,
 )
+from conftest import reference_verify
 from horicert import contraction
 from horicert.fixtures import load_certificate
 
@@ -161,6 +162,22 @@ class TestVerify:
         g = WeightedMultigraph({"a": 2, "b": 2, "c": 2, "d": 2}, [("a", "b"), ("c", "d")])
         cert = ContractionCertificate(g, (ContractionStep(("a", "c"), 0, "m1"),))
         assert not verify_certificate(cert, require_singleton=False)
+
+    def test_same_merged_vertex_step_is_invalid(self):
+        # A pair of one vertex with itself has multiplicity 0, also after a
+        # merge has joined the edges of two original vertices into it.
+        first = ContractionStep(("v1", "v2"), 0, "m1")
+        again = ContractionStep(("m1", "m1"), 0, "m2")
+        cert = ContractionCertificate(builtin("K1"), (first, again))
+        for require_singleton in (False, True):
+            assert verify_certificate(cert, require_singleton) is False
+            assert reference_verify(cert, require_singleton) is False
+
+    def test_line_arrangement_certificates_match_the_contract_chain(self):
+        for m in range(5, 41):
+            cert = contract_multipartite(dual_graph(general_lines(m)))
+            assert verify_certificate(cert) is True
+            assert reference_verify(cert) is True
 
     def test_json_round_trip(self):
         cert = load_certificate("K3")

@@ -75,6 +75,44 @@ class TestConstruction:
         with pytest.raises(GraphError):
             WeightedMultigraph({"a": 1, "b": 1}, [("a", "b", -1)])
 
+    @pytest.mark.parametrize(
+        "weights, edges, error, message",
+        [
+            ({"a": 1, "b": 1}, [("a",)], GraphError, "edge entry must be (u, v) or (u, v, mult), got ('a',)"),
+            ({"a": 1, "b": 1}, [("a", "b", 1, 1)], GraphError, "edge entry must be (u, v) or (u, v, mult), got ('a', 'b', 1, 1)"),
+            ({"a": 1, "b": 1}, [("a", "c")], UnknownVertexError, "edge endpoint 'c' is not a vertex"),
+            ({"a": 1, "b": 1}, [("c", "a")], UnknownVertexError, "edge endpoint 'c' is not a vertex"),
+            ({"a": 1, "b": 1}, [("c", "d")], UnknownVertexError, "edge endpoint 'c' is not a vertex"),
+            ({"a": 1, "b": 1}, [("a", "a")], GraphError, "self-loop at 'a' is not allowed"),
+            ({"a": 1, "b": 1}, [("a", "b", True)], GraphError, "multiplicity of ('a', 'b') must be a non-negative integer"),
+            ({"a": 1, "b": 1}, [("a", "b", -1)], GraphError, "multiplicity of ('a', 'b') must be a non-negative integer"),
+            ({"a": 1, "b": 1}, [("a", "b", 1.0)], GraphError, "multiplicity of ('a', 'b') must be a non-negative integer"),
+            ({"a": True, "b": 1}, [], GraphError, "weight of 'a' must be an integer, got True"),
+            ({"a": 1, "b": 2.0}, [], GraphError, "weight of 'b' must be an integer, got 2.0"),
+            # one edge with two faults: the earlier check wins
+            ({"a": 1, "b": 1}, [("c", "c", -1)], UnknownVertexError, "edge endpoint 'c' is not a vertex"),
+            ({"a": 1, "b": 1}, [("a", "a", True)], GraphError, "self-loop at 'a' is not allowed"),
+            ({"a": 1, "b": 1}, [("a", "c", False)], UnknownVertexError, "edge endpoint 'c' is not a vertex"),
+            # and the earlier edge wins over a later one
+            ({"a": 1, "b": 1}, [("a", "b", -1), ("a", "c")], GraphError, "multiplicity of ('a', 'b') must be a non-negative integer"),
+            # weights are checked before any edge
+            ({"a": 1, "b": True}, [("a",)], GraphError, "weight of 'b' must be an integer, got True"),
+        ],
+    )
+    def test_rejection_messages(self, weights, edges, error, message):
+        with pytest.raises(error) as err:
+            WeightedMultigraph(weights, edges)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_int_subclass_is_accepted(self):
+        class Count(int):
+            pass
+
+        g = WeightedMultigraph({"a": Count(2), "b": 1}, [("a", "b", Count(3)), ("b", "a", Count(0))])
+        assert g == WeightedMultigraph({"a": 2, "b": 1}, [("a", "b", 3)])
+        assert g.multiplicity("a", "b") == 3
+
     def test_duplicate_entries_accumulate(self):
         g = WeightedMultigraph({"a": 1, "b": 1}, [("a", "b"), ("b", "a", 2)])
         assert g.multiplicity("a", "b") == 3

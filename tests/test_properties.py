@@ -5,13 +5,21 @@ import itertools
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
-from conftest import certifiable_multipartite_graphs, graphs, multipartite_graphs, relabelled
+from conftest import (
+    assert_sorted_layout,
+    certifiable_multipartite_graphs,
+    graphs,
+    multipartite_graphs,
+    reference_verify,
+    relabelled,
+)
 from horicert import (
     ContractionCertificate,
     ContractionStep,
     GraphError,
-    UnknownVertexError,
+    PreconditionError,
     WeightedMultigraph,
+    absorb_submultigraph,
     adjunction_genus,
     brute_force_oracle,
     canonical_form,
@@ -65,6 +73,41 @@ def test_contract_is_the_literal_merge(g, data):
     assert h == expected
     assert h.vertices == expected.vertices
     assert all(h.neighbors(x) == expected.neighbors(x) for x in h.vertices)
+
+
+@BIG
+@given(graphs(min_vertices=2, max_vertices=7), st.data())
+def test_derived_graphs_keep_the_sorted_layout(g, data):
+    # contract and _Replay.graph() build their graphs without the public
+    # constructor's sorting; a merged id may sort first, last or between
+    # two others.  Replaying the same merges, they must also agree.
+    assert_sorted_layout(g)
+    h, state = g, contraction._Replay(g)
+    for i in range(data.draw(st.integers(0, g.vertex_count - 1))):
+        pairs = h.adjacent_pairs()
+        if not pairs:
+            break
+        u, v = data.draw(st.sampled_from(pairs))
+        merged = data.draw(st.sampled_from([f"m{i}", "a", "zz", "v3x", u, v]))
+        assume(merged not in h or merged in (u, v))
+        h = contract(h, (u, v), merged)
+        state.merge(u, v, merged, state.mult(u, v))
+        assert_sorted_layout(h)
+        replayed = state.graph()
+        assert_sorted_layout(replayed)
+        assert replayed == h
+
+
+@given(certifiable_multipartite_graphs(), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_absorbed_graph_keeps_the_sorted_layout(g, data):
+    keep = data.draw(st.lists(st.sampled_from(g.vertices), min_size=4, max_size=8, unique=True))
+    try:
+        _, reduced = absorb_submultigraph(g, keep)
+    except PreconditionError:
+        assume(False)
+    assert reduced.vertices == tuple(sorted(keep))
+    assert_sorted_layout(reduced)
 
 
 @BIG
@@ -208,27 +251,6 @@ def test_rdeg_degree_relation(g):
         assert g.rdeg(v) <= g.degree(v)
         simple = all(m == 1 for u, w, m in g.edge_items() if v in (u, w))
         assert (g.rdeg(v) == g.degree(v)) == simple
-
-
-def reference_verify(cert, require_singleton=True):
-    """``verify_certificate`` as a chain of :func:`contract` calls, asking the
-    kernel with degrees summed afresh from every intermediate graph."""
-    g = cert.initial
-    for step in cert.steps:
-        v, w = step.pair
-        for x in (v, w):
-            if x not in g:
-                raise UnknownVertexError(x)
-        low = {x for x in g.vertices if g.degree(x) < 3}
-        bounds = contraction._admissible(
-            v, w, g.multiplicity(v, w), g.weight(v), g.weight(w), g.degree(v), g.degree(w), low
-        )
-        if bounds is None or not bounds[0] <= step.l <= max(bounds[1], bounds[2]):
-            return False
-        g = contract(g, (v, w), step.merged)
-    if require_singleton:
-        return g.is_singleton() and g.total_weight() == cert.initial.total_weight()
-    return True
 
 
 FAULTS = ("none", "l", "non_adjacent", "same_vertex", "unknown_vertex", "bystander_id")
