@@ -71,11 +71,7 @@ class Arrangement:
             if comp.id in ids:
                 raise ValueError(f"duplicate component id {comp.id!r}")
             ids.add(comp.id)
-        # Counted once here, since every number of the arrangement asks for
-        # them; a role on the wrong kind of surface raises here.
-        counts = Counter(c.role for c in self.components)
-        classes = {role: (role.cls(self.surface), n) for role, n in counts.items()}
-        object.__setattr__(self, "_role_classes", classes)
+        self.role_classes()  # a role on the wrong kind of surface raises here
 
     @property
     def size(self) -> int:
@@ -84,7 +80,8 @@ class Arrangement:
     def role_classes(self) -> dict[Role, tuple[DivClass, int]]:
         """Each role present, in order of first appearance, with its class
         and its number of components."""
-        return dict(self._role_classes)
+        counts = Counter(c.role for c in self.components)
+        return {role: (role.cls(self.surface), n) for role, n in counts.items()}
 
 
 def general_lines(m: int) -> Arrangement:

@@ -51,17 +51,17 @@ class WeightedMultigraph:
         wt: dict[str, int] = {}
         for v in sorted(weights):
             w = weights[v]
-            if type(w) is not int and (not isinstance(w, int) or isinstance(w, bool)):
+            if not isinstance(w, int) or isinstance(w, bool):
                 raise GraphError(f"weight of {v!r} must be an integer, got {w!r}")
             wt[str(v)] = w
         adj: dict[str, dict[str, int]] = {v: {} for v in wt}
         row_of = adj.get
         for entry in edges:
-            if len(entry) == 3:
-                u, v, mult = entry
-            elif len(entry) == 2:
+            if len(entry) == 2:
                 u, v = entry
                 mult = 1
+            elif len(entry) == 3:
+                u, v, mult = entry
             else:
                 raise GraphError(f"edge entry must be (u, v) or (u, v, mult), got {entry!r}")
             row_u, row_v = row_of(u), row_of(v)
@@ -70,20 +70,13 @@ class WeightedMultigraph:
                 raise UnknownVertexError(f"edge endpoint {missing!r} is not a vertex")
             if u == v:
                 raise GraphError(f"self-loop at {u!r} is not allowed")
-            if (type(mult) is not int and (not isinstance(mult, int) or isinstance(mult, bool))) or mult < 0:
+            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
                 raise GraphError(f"multiplicity of ({u!r}, {v!r}) must be a non-negative integer")
             if mult:
-                if v in row_u:
-                    row_u[v] += mult
-                    row_v[u] += mult
-                else:
-                    row_u[v] = row_v[u] = mult
-        for v, nbrs in adj.items():
-            keys = sorted(nbrs)
-            if keys != list(nbrs):  # edges listed in sorted order need no re-sort
-                adj[v] = {x: nbrs[x] for x in keys}
+                row_u[v] = row_u.get(v, 0) + mult
+                row_v[u] = row_v.get(u, 0) + mult
         self._weights = wt
-        self._adj = adj
+        self._adj = {v: dict(sorted(nbrs.items())) for v, nbrs in adj.items()}
         self._vertices = tuple(wt)
         self._hash: int | None = None
 
@@ -151,10 +144,12 @@ class WeightedMultigraph:
 
     def edge_items(self) -> Iterator[tuple[str, str, int]]:
         """Iterate ``(u, v, mult)`` with ``u < v`` in sorted order."""
+        # Every row iterates in sorted order, so its entries after u are a suffix.
         for u in self._vertices:
-            for v, m in self._adj[u].items():
-                if u < v:
-                    yield u, v, m
+            row = self._adj[u]
+            keys = list(row)
+            for v in keys[bisect_right(keys, u):]:
+                yield u, v, row[v]
 
     def total_weight(self) -> int:
         return sum(self._weights.values())
@@ -192,16 +187,9 @@ class WeightedMultigraph:
     # ------------------------------------------------------------------ formats
 
     def to_json_dict(self) -> dict:
-        # edge_items, inlined for the m(m-1)/2 edges of a certificate: each
-        # row is sorted, so its entries after u form a suffix.
-        edges = []
-        for u in self._vertices:
-            row = self._adj[u]
-            keys = list(row)
-            edges += [{"u": u, "v": v, "mult": row[v]} for v in keys[bisect_right(keys, u):]]
         return {
             "vertices": [{"id": v, "wt": self._weights[v]} for v in self._vertices],
-            "edges": edges,
+            "edges": [{"u": u, "v": v, "mult": m} for u, v, m in self.edge_items()],
         }
 
     @classmethod
@@ -218,10 +206,9 @@ class WeightedMultigraph:
             if not isinstance(v, str):
                 raise GraphError(f"malformed graph document: vertex id must be a string, got {v!r}")
         for u, v, _ in edge_entries:
-            if type(u) is not str or type(v) is not str:
-                for x in (u, v):
-                    if not isinstance(x, str):
-                        raise GraphError(f"malformed graph document: edge endpoint must be a string, got {x!r}")
+            for x in (u, v):
+                if not isinstance(x, str):
+                    raise GraphError(f"malformed graph document: edge endpoint must be a string, got {x!r}")
         weights = dict(items)
         if len(weights) != len(items):
             raise GraphError("duplicate vertex id in graph document")
