@@ -1,6 +1,6 @@
 """Curve arrangements on the base surfaces and their dual graphs.
 
-An arrangement is a list of components, each in one of three
+An arrangement is a count of components in each of three
 base-point-free roles: lines on the plane, fibers and sections on a ruled
 surface.  A component's class is its role's (``Surface.line_class()``,
 ``fiber_class()`` or ``section_class()``), so all class arithmetic is done
@@ -14,7 +14,6 @@ makes the dual graph well defined: one vertex per component weighted by
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 
 from .multigraph import BoundExceededError, WeightedMultigraph
@@ -23,16 +22,12 @@ from .surfaces import DivClass, P2, Surface, canonical_class, hirzebruch, inters
 from . import contraction
 
 
-# Largest arrangement built: the YES path costs about m^2 time and memory
-# in the number m of components (the dual graph has m(m-1)/2 edges, built
-# one row per role and copied per vertex, and absorbing and verifying its
-# certificate sum each pair of components once over m - 1 merges).
+# Largest arrangement built, and the largest certificate ``cert-verify``
+# reads: the YES path costs about m^2 time and memory in the number m of
+# components (the dual graph has m(m-1)/2 edges, built one row per role
+# and copied per vertex, and absorbing and verifying its certificate sum
+# each pair of components once over m - 1 merges).
 MAX_COMPONENTS = 256
-
-
-def _check_size(m: int) -> None:
-    if m > MAX_COMPONENTS:
-        raise BoundExceededError(f"arrangement limited to {MAX_COMPONENTS} components, got {m}")
 
 
 class Role(enum.Enum):
@@ -47,15 +42,13 @@ class Role(enum.Enum):
         return by_role[self]()
 
 
-@dataclass(frozen=True)
-class Component:
-    id: str
-    role: Role
+_ID_PREFIX = {Role.LINE: "L", Role.FIBER: "F", Role.SECTION: "T"}
 
 
 @dataclass(frozen=True)
 class Arrangement:
-    """General-position arrangement of role-tagged components.
+    """General-position arrangement: ``counts`` holds ``(role, n)`` pairs,
+    each role at most once, for ``n`` components in that role.
 
     Only the three roles are constructible, so transversality and
     base-point-freeness rest on the recorded general-position assumption
@@ -63,33 +56,38 @@ class Arrangement:
     """
 
     surface: Surface
-    components: tuple[Component, ...]
+    counts: tuple[tuple[Role, int], ...]
 
     def __post_init__(self):
-        ids = set()
-        for comp in self.components:
-            if comp.id in ids:
-                raise ValueError(f"duplicate component id {comp.id!r}")
-            ids.add(comp.id)
-        self.role_classes()  # a role on the wrong kind of surface raises here
+        if len(dict(self.counts)) != len(self.counts):
+            raise ValueError("each role may be counted only once")
+        for role, n in self.counts:
+            role.cls(self.surface)  # a role on the wrong kind of surface raises here
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise ValueError(f"count of role {role.value!r} must be a non-negative integer, got {n!r}")
+        if self.size > MAX_COMPONENTS:
+            raise BoundExceededError(f"arrangement limited to {MAX_COMPONENTS} components, got {self.size}")
 
     @property
     def size(self) -> int:
-        return len(self.components)
+        return sum(n for _, n in self.counts)
 
     def role_classes(self) -> dict[Role, tuple[DivClass, int]]:
-        """Each role present, in order of first appearance, with its class
-        and its number of components."""
-        counts = Counter(c.role for c in self.components)
-        return {role: (role.cls(self.surface), n) for role, n in counts.items()}
+        """Each role with at least one component, in the order of
+        ``counts``, with its class and its number of components."""
+        return {role: (role.cls(self.surface), n) for role, n in self.counts if n}
+
+    def components(self) -> list[tuple[str, Role]]:
+        """``(id, role)`` of every component, in the order of ``counts``:
+        lines ``L1``.., fibers ``F1``.. and sections ``T1``.."""
+        return [(f"{_ID_PREFIX[role]}{i}", role) for role, n in self.counts for i in range(1, n + 1)]
 
 
 def general_lines(m: int) -> Arrangement:
     """``m`` lines in general position in the plane, ``1 <= m <= MAX_COMPONENTS``."""
     if m < 1:
         raise ValueError(f"need at least one line, got {m}")
-    _check_size(m)
-    return Arrangement(P2, tuple(Component(f"L{i}", Role.LINE) for i in range(1, m + 1)))
+    return Arrangement(P2, ((Role.LINE, m),))
 
 
 def fibers_and_sections(N: int, a: int, b: int) -> Arrangement:
@@ -97,10 +95,7 @@ def fibers_and_sections(N: int, a: int, b: int) -> Arrangement:
     ``1 <= a + b <= MAX_COMPONENTS``."""
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError(f"need non-negative counts with at least one component, got {a}, {b}")
-    _check_size(a + b)
-    comps = [Component(f"F{i}", Role.FIBER) for i in range(1, a + 1)]
-    comps += [Component(f"T{j}", Role.SECTION) for j in range(1, b + 1)]
-    return Arrangement(hirzebruch(N), tuple(comps))
+    return Arrangement(hirzebruch(N), ((Role.FIBER, a), (Role.SECTION, b)))
 
 
 def from_shorthand(text: str) -> Arrangement:
@@ -134,9 +129,9 @@ def dual_graph(arr: Arrangement) -> WeightedMultigraph:
     index = {role: k for k, role in enumerate(role_classes)}
     minus_k = -canonical_class(arr.surface)
     weight = [intersect(minus_k, cls) for cls in classes]
-    comps = sorted(arr.components, key=lambda c: c.id)
-    ids = [c.id for c in comps]
-    kinds = [index[c.role] for c in comps]
+    comps = sorted(arr.components())
+    ids = [x for x, _ in comps]
+    kinds = [index[role] for _, role in comps]
     role_rows = []
     for cls in classes:
         mult = [intersect(cls, other) for other in classes]
@@ -182,14 +177,14 @@ def check_arrangement_smoothing(arr: Arrangement) -> tuple[Obligation, contracti
     obligation tree plus the contraction certificate when one exists.
     """
     graph = dual_graph(arr)
-    minus_k_values = {c.id: graph.weight(c.id) for c in arr.components}
+    minus_k_values = {v: graph.weight(v) for v in graph.vertices}
     rdeg_values = {v: graph.rdeg(v) for v in graph.vertices}
 
     roles_ok = check(
         "lemma.zai_gen.classes_base_point_free",
         True,
         detail="components restricted to line/fiber/section roles",
-        roles=sorted({c.role.value for c in arr.components}),
+        roles=sorted(role.value for role in arr.role_classes()),
     )
     min_wt = min(minus_k_values.values())
     wt_ok = check(

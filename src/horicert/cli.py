@@ -12,13 +12,13 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .arrangements import from_shorthand, dual_graph
+from .arrangements import MAX_COMPONENTS, from_shorthand, dual_graph
 from .contraction import (
     ContractionCertificate,
     decide_contractible,
     verify_certificate,
 )
-from .multigraph import GraphError, WeightedMultigraph
+from .multigraph import BoundExceededError, GraphError, WeightedMultigraph
 from .pipeline import (
     cyclic_cover_factorization,
     decide_plane_double_cover,
@@ -47,7 +47,11 @@ def _read_certificate(args) -> ContractionCertificate:
     if args.fixture:
         return fixtures.load_certificate(args.fixture)
     text = sys.stdin.read() if args.path == "-" else Path(args.path).read_text(encoding="utf-8")
-    return ContractionCertificate.from_json_dict(json.loads(text))
+    cert = ContractionCertificate.from_json_dict(json.loads(text))
+    n = cert.initial.vertex_count
+    if n > MAX_COMPONENTS:
+        raise BoundExceededError(f"certificate limited to {MAX_COMPONENTS} vertices, got {n}")
+    return cert
 
 
 def _emit(document: str) -> None:

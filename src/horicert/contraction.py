@@ -30,10 +30,12 @@ rewriting the graph: they keep, for each current vertex, the group of
 original vertices merged into it, and read a multiplicity as the sum of
 the original multiplicities between two groups.  Each pair of original
 vertices is summed by the merge that joins it and by no other, so
-``m - 1`` steps on ``m`` vertices cost O(m^2) in total.
-:func:`contract`, the public one-step function used by the search and by
-:meth:`ContractionCertificate.replay`, builds the child graph whole, row
-by row in sorted order, since the search goes on from it.
+``m - 1`` steps on ``m`` vertices cost O(m^2) in total.  Absorption
+then builds its reduced graph, at most eight vertices, once through the
+public constructor.  :func:`contract`, the public one-step function used
+by the search and by :meth:`ContractionCertificate.replay`, builds the
+child graph whole, row by row in sorted order, since the search goes on
+from it.
 
 The rule above is encoded once, in ``_admissible``, for the search,
 verification, absorption and :func:`feasible_l_range`.  The oracle is a
@@ -289,19 +291,6 @@ class _Replay:
         if deg < 3:
             self.low.add(merged)
 
-    def graph(self) -> WeightedMultigraph:
-        """The current graph, built row by row in sorted order."""
-        ids = sorted(self.weights)
-        adj: dict[str, dict[str, int]] = {x: {} for x in ids}
-        for i, u in enumerate(ids):
-            row_u = adj[u]
-            for v in ids[i + 1:]:
-                m = self.mult(u, v)
-                if m:
-                    row_u[v] = m
-                    adj[v][u] = m
-        return WeightedMultigraph._from_parts({x: self.weights[x] for x in ids}, adj)
-
 
 def feasible_l_range(g: WeightedMultigraph, v: str, w: str) -> tuple[int, ...]:
     """All ``l`` for which contracting the ordered pair ``(v, w)`` is admissible.
@@ -406,8 +395,7 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
         adj, wt = h._adj, h._weights
         k = _fresh_index(h, name_index)
         merged = f"m{k}"
-        for u, v in h.adjacent_pairs():
-            mult = adj[u][v]
+        for u, v, mult in h.edge_items():
             deg_u = sum(adj[u].values())
             deg_v = sum(adj[v].values())
             bounds = _admissible(u, v, mult, wt[u], wt[v], deg_u, deg_v, ())
@@ -599,7 +587,8 @@ def absorb_submultigraph(
             )  # unreachable under the checked preconditions
         steps.append(ContractionStep((w, v), 0, v))
         state.merge(w, v, v, mult)
-    return tuple(steps), state.graph()
+    edges = [(u, v, state.mult(u, v)) for i, u in enumerate(kept) for v in kept[i + 1:]]
+    return tuple(steps), WeightedMultigraph({x: state.weights[x] for x in kept}, edges)
 
 
 def contract_multipartite(g: WeightedMultigraph) -> ContractionCertificate:

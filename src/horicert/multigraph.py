@@ -48,12 +48,15 @@ class WeightedMultigraph:
     __slots__ = ("_weights", "_adj", "_vertices", "_hash")
 
     def __init__(self, weights: Mapping[str, int], edges: Iterable[tuple] = ()):
+        for v in weights:
+            if not isinstance(v, str):
+                raise GraphError(f"vertex id must be a string, got {v!r}")
         wt: dict[str, int] = {}
         for v in sorted(weights):
             w = weights[v]
             if not isinstance(w, int) or isinstance(w, bool):
                 raise GraphError(f"weight of {v!r} must be an integer, got {w!r}")
-            wt[str(v)] = w
+            wt[v] = w
         adj: dict[str, dict[str, int]] = {v: {} for v in wt}
         row_of = adj.get
         for entry in edges:
@@ -82,10 +85,11 @@ class WeightedMultigraph:
 
     @classmethod
     def _from_parts(cls, weights: dict[str, int], adj: dict[str, dict[str, int]]) -> "WeightedMultigraph":
-        # Trusted fast path for internal construction; takes ownership of both
-        # dicts without checking or sorting them.  The caller must build them
-        # as the public constructor would: ``weights`` and ``adj`` with the
-        # same keys in sorted order, every row symmetric, free of zeros and
+        # Trusted fast path, with no checks and no sorting, for the two hot
+        # builds: ``contraction.contract`` and ``arrangements.dual_graph``.
+        # It takes ownership of both dicts, which the caller must build as
+        # the public constructor would: ``weights`` and ``adj`` with the same
+        # keys in sorted order, every row symmetric, free of zeros and
         # self-loops, and iterating in sorted order.
         self = cls.__new__(cls)
         self._weights = weights
@@ -140,7 +144,7 @@ class WeightedMultigraph:
 
     def adjacent_pairs(self) -> list[tuple[str, str]]:
         """Sorted list of adjacent pairs ``(u, v)`` with ``u < v``."""
-        return [(u, v) for u in self._vertices for v in self._adj[u] if u < v]
+        return [(u, v) for u, v, _ in self.edge_items()]
 
     def edge_items(self) -> Iterator[tuple[str, str, int]]:
         """Iterate ``(u, v, mult)`` with ``u < v`` in sorted order."""

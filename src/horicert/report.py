@@ -57,8 +57,8 @@ class Obligation:
         return out
 
 
-def check(name: str, passed: bool, detail: str = "", children: tuple[Obligation, ...] = (), **values) -> Obligation:
-    return Obligation(name, bool(passed), "check", detail, tuple(values.items()), children)
+def check(name: str, passed: bool, detail: str = "", **values) -> Obligation:
+    return Obligation(name, bool(passed), "check", detail, tuple(values.items()))
 
 
 def axiom(name: str, detail: str) -> Obligation:

@@ -23,23 +23,24 @@ from horicert import (
     total_class,
     verify_certificate,
 )
-from horicert import contraction
-from horicert.arrangements import MAX_COMPONENTS, Arrangement, Component, Role, from_shorthand
+from horicert.arrangements import MAX_COMPONENTS, Arrangement, Role, from_shorthand
 
 
 class TestBuilders:
     def test_lines_need_plane_roles(self):
         arr = general_lines(5)
         assert arr.surface == P2
-        assert all(c.role is Role.LINE for c in arr.components)
+        assert arr.components() == [(f"L{i}", Role.LINE) for i in range(1, 6)]
 
     def test_role_class_mismatch_rejected(self):
         s = hirzebruch(1)
         for surface, role in ((P2, Role.FIBER), (P2, Role.SECTION), (s, Role.LINE)):
             with pytest.raises(SurfaceMismatchError):
-                Arrangement(surface, (Component("C1", role),))
+                Arrangement(surface, ((role, 1),))
         with pytest.raises(SurfaceMismatchError):
-            Arrangement(P2, (Component("L1", Role.LINE), Component("F1", Role.FIBER)))
+            Arrangement(P2, ((Role.LINE, 1), (Role.FIBER, 1)))
+        with pytest.raises(SurfaceMismatchError):
+            Arrangement(P2, ((Role.LINE, 1), (Role.FIBER, 0)))
 
     def test_role_classes(self):
         s = hirzebruch(2)
@@ -51,9 +52,39 @@ class TestBuilders:
             Role.SECTION: (s.div(0, 1), 4),
         }
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            Arrangement(P2, (Component("L1", Role.LINE), Component("L1", Role.LINE)))
+    def test_components_are_named_per_role(self):
+        assert fibers_and_sections(1, 2, 3).components() == [
+            ("F1", Role.FIBER), ("F2", Role.FIBER),
+            ("T1", Role.SECTION), ("T2", Role.SECTION), ("T3", Role.SECTION),
+        ]
+        assert fibers_and_sections(1, 0, 2).components() == [("T1", Role.SECTION), ("T2", Role.SECTION)]
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (((Role.LINE, -1),), "count of role 'line' must be a non-negative integer, got -1"),
+            (((Role.LINE, 2.0),), "count of role 'line' must be a non-negative integer, got 2.0"),
+            (((Role.LINE, True),), "count of role 'line' must be a non-negative integer, got True"),
+            (((Role.LINE, 2), (Role.LINE, 3)), "each role may be counted only once"),
+        ],
+    )
+    def test_direct_construction_checks_counts(self, counts, message):
+        with pytest.raises(ValueError) as err:
+            Arrangement(P2, counts)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
+    def test_direct_construction_checks_size(self):
+        s = hirzebruch(1)
+        assert Arrangement(s, ((Role.FIBER, 0), (Role.SECTION, MAX_COMPONENTS))).size == MAX_COMPONENTS
+        for surface, counts in (
+            (P2, ((Role.LINE, MAX_COMPONENTS + 1),)),
+            (s, ((Role.FIBER, 1), (Role.SECTION, MAX_COMPONENTS))),
+            (s, ((Role.FIBER, 10**12),)),
+        ):
+            with pytest.raises(BoundExceededError) as err:
+                Arrangement(surface, counts)
+            assert str(err.value) == f"arrangement limited to {MAX_COMPONENTS} components, got {sum(n for _, n in counts)}"
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
@@ -64,9 +95,9 @@ class TestBuilders:
     def test_size_bound(self):
         assert general_lines(MAX_COMPONENTS).size == MAX_COMPONENTS
         assert fibers_and_sections(1, 100, MAX_COMPONENTS - 100).size == MAX_COMPONENTS
-        with pytest.raises(BoundExceededError):
+        with pytest.raises(BoundExceededError, match="^arrangement limited to 256 components, got 257$"):
             general_lines(MAX_COMPONENTS + 1)
-        with pytest.raises(BoundExceededError):
+        with pytest.raises(BoundExceededError, match="^arrangement limited to 256 components, got 257$"):
             fibers_and_sections(1, 100, MAX_COMPONENTS - 99)
 
     def test_shorthand(self):
@@ -167,7 +198,7 @@ _ROLE_COEFFS = {Role.LINE: (1,), Role.FIBER: (1, 0), Role.SECTION: (0, 1)}
 def _literal_dual_graph(arr):
     """The dual graph built component by component: one ``intersect`` per
     weight and per pair, through the public constructor."""
-    classes = [(c.id, arr.surface.div(*_ROLE_COEFFS[c.role])) for c in arr.components]
+    classes = [(cid, arr.surface.div(*_ROLE_COEFFS[role])) for cid, role in arr.components()]
     minus_k = -canonical_class(arr.surface)
     weights = {cid: intersect(minus_k, cls) for cid, cls in classes}
     edges = [
@@ -201,13 +232,12 @@ class TestClosedForms:
             assert got.to_json_dict() == expected.to_json_dict()
 
     def test_derived_graphs_keep_the_sorted_layout(self):
-        # dual_graph, contract, _Replay.graph() and absorb_submultigraph build
-        # their graphs without the public constructor's sorting.  "G" sorts
-        # between the fiber and the line/section ids.
+        # dual_graph and contract build their graphs without the public
+        # constructor's sorting.  "G" sorts between the fiber and the
+        # line/section ids.  absorb_submultigraph goes through it.
         for arr in _reference_arrangements():
             g = dual_graph(arr)
             assert_sorted_layout(g)
-            assert_sorted_layout(contraction._Replay(g).graph())
             pairs = g.adjacent_pairs()
             if pairs:
                 u, v = pairs[len(pairs) // 2]

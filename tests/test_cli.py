@@ -233,6 +233,28 @@ class TestCertVerify:
         code, _, _ = invoke(capsys, "cert-verify")
         assert code == 3
 
+    def test_oversized_certificate_exits_3(self, capsys, tmp_path):
+        # a sparse cycle of doubled edges: cheap to parse, but verifying
+        # costs m^2 in the vertex count m, so the size is bounded first
+        n = 257
+        verts = [{"id": f"c{i}", "wt": 3} for i in range(n)]
+        edges = [{"u": f"c{i}", "v": f"c{(i + 1) % n}", "mult": 2} for i in range(n)]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"initial": {"vertices": verts, "edges": edges}, "steps": []}))
+        code, out, err = invoke(capsys, "cert-verify", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "horicert: error: certificate limited to 256 vertices, got 257\n"
+
+    def test_largest_theorem_certificate_verifies(self, capsys, tmp_path):
+        code, out, _ = invoke(capsys, "theorem", "p2", "--d", "512", "--format", "json")
+        assert code == 0
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(json.loads(out)["attachments"]["certificate"]))
+        code, out, _ = invoke(capsys, "cert-verify", str(path))
+        assert code == 0
+        assert out.strip() == "valid"
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -97,6 +97,9 @@ class TestConstruction:
             ({"a": 1, "b": 1}, [("a", "b", -1), ("a", "c")], GraphError, "multiplicity of ('a', 'b') must be a non-negative integer"),
             # weights are checked before any edge
             ({"a": 1, "b": True}, [("a",)], GraphError, "weight of 'b' must be an integer, got True"),
+            # vertex ids must be strings; the first non-string one is named
+            ({1: 2, 2: 2}, [(1, 2)], GraphError, "vertex id must be a string, got 1"),
+            ({1: 2, "a": 2}, [], GraphError, "vertex id must be a string, got 1"),
         ],
     )
     def test_rejection_messages(self, weights, edges, error, message):
