@@ -48,7 +48,8 @@ _ID_PREFIX = {Role.LINE: "L", Role.FIBER: "F", Role.SECTION: "T"}
 @dataclass(frozen=True)
 class Arrangement:
     """General-position arrangement: ``counts`` holds ``(role, n)`` pairs,
-    each role at most once, for ``n`` components in that role.
+    each role at most once, for ``n`` components in that role, and at
+    least one component in all.
 
     Only the three roles are constructible, so transversality and
     base-point-freeness rest on the recorded general-position assumption
@@ -65,6 +66,8 @@ class Arrangement:
             role.cls(self.surface)  # a role on the wrong kind of surface raises here
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise ValueError(f"count of role {role.value!r} must be a non-negative integer, got {n!r}")
+        if self.size < 1:
+            raise ValueError("an arrangement needs at least one component")
         if self.size > MAX_COMPONENTS:
             raise BoundExceededError(f"arrangement limited to {MAX_COMPONENTS} components, got {self.size}")
 

@@ -38,16 +38,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+# Largest graph or certificate document read, in bytes.  The largest
+# certificate ``theorem`` emits (``p2 --d 512``) takes about 2.5 MB with
+# ``indent=2``; parsing costs about 20 bytes of memory per byte read, so
+# a larger input is refused before it is parsed.
+MAX_INPUT_BYTES = 8 * 2**20
+
+
+def _read_json(path: str):
+    if path == "-":
+        data = sys.stdin.buffer.read(MAX_INPUT_BYTES + 1)
+    else:
+        with open(path, "rb") as f:
+            data = f.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise BoundExceededError(f"input document limited to {MAX_INPUT_BYTES} bytes")
+    return json.loads(data.decode("utf-8"))
+
+
 def _read_graph(path: str) -> WeightedMultigraph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return WeightedMultigraph.from_json_dict(json.loads(text))
+    return WeightedMultigraph.from_json_dict(_read_json(path))
 
 
 def _read_certificate(args) -> ContractionCertificate:
     if args.fixture:
         return fixtures.load_certificate(args.fixture)
-    text = sys.stdin.read() if args.path == "-" else Path(args.path).read_text(encoding="utf-8")
-    cert = ContractionCertificate.from_json_dict(json.loads(text))
+    cert = ContractionCertificate.from_json_dict(_read_json(args.path))
     n = cert.initial.vertex_count
     if n > MAX_COMPONENTS:
         raise BoundExceededError(f"certificate limited to {MAX_COMPONENTS} vertices, got {n}")

@@ -20,10 +20,14 @@ and the constructive procedure that certifies every completely
 multipartite graph whose vertices all have weight >= 2 and at least four
 distinct neighbours.
 
-The search stops at any state with a vertex that can never be merged
-(degree <= 3 or weight <= 0, see :func:`decide_contractible`) and keys its
-failure memo by the partition of the input's vertices into merged groups,
-which fixes the state exactly and costs no canonical form.
+The search rejects, with proofs in :func:`decide_contractible`, every
+state that holds a vertex that can never be merged (weight <= 0, degree
+<= 3, or more edges to each neighbour than its weight and degree allow)
+or fewer than two vertices of weight >= 2, the two anchors that the last
+step needs.  It judges each child before building it, from the degrees
+it computes once per state, and keys its failure memo by the partition
+of the input's vertices into merged groups, which fixes the state exactly
+and costs no canonical form.
 
 Verification and absorption replay their steps without copying or
 rewriting the graph: they keep, for each current vertex, the group of
@@ -359,25 +363,46 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     A graph of more than ``DEFAULT_MAX_VERTICES`` (12) vertices raises
     :class:`BoundExceededError`; the bound is fixed.
 
-    *Viability.*  An endpoint of an admissible step has ``l <= mult - 1``
-    and ``deg - mult + l >= 3``, so degree at least 4, and weight at least
-    ``l + 1 >= 1``.  A contraction leaves every bystander's weight and
-    degree unchanged, so in a graph of two or more vertices a vertex of
-    degree <= 3 or weight <= 0 is never merged and the graph is not
-    contractible.  The search checks every vertex once on entry; after
-    that only the merged vertex of a child is new, its weight is at least
-    ``1 + 2``, and a child whose merged vertex has degree <= 3 is skipped.
-    So every vertex of every state searched has degree >= 4, and the
-    search asks the kernel with an empty set of low-degree vertices,
-    never summing a bystander's degree.
+    Two rules reject a state of two or more vertices as NO.  A contraction
+    leaves every bystander's weight and degree unchanged (``mult(x,
+    merged) = mult(x, v) + mult(x, w)``), and a contractible state must
+    merge each of its vertices at some step.
+
+    *Dead endpoint.*  Let ``x`` have weight ``w`` and degree ``d``, and let
+    the step that merges it join it to a partner ``P`` by ``m`` edges.
+    ``P`` is a union of the state's vertices, one of them a neighbour
+    ``H`` of ``x``, so ``m >= mult(x, H)``.  The step needs an ``l`` with
+    ``0 <= l <= m - 1``, ``l <= w - 1`` (as first or second endpoint) and
+    ``d - m + l >= 3``; one exists iff ``w >= 1``, ``d >= 4`` and ``m <= d
+    + w - 4``.  So ``x`` is dead, and the state NO, when ``w <= 0``, ``d <=
+    3`` or no neighbour is *usable*, that is joined by at most ``d + w -
+    4`` edges.
+
+    *Two anchors.*  The last step joins two vertices whose degree is their
+    multiplicity, so ``l >= 3`` and both weigh at least 4.  Each is a
+    vertex of the state, or a group whose first merge joined two vertices
+    of the state, the second of weight ``>= l + 2 >= 2``.  So each holds
+    an *anchor*, a vertex of the state of weight ``>= 2``, and the two are
+    disjoint: a state with fewer than two anchors is NO.
+
+    The search checks both rules on entry.  Then every vertex of every
+    state searched has weight ``>= 1`` and degree ``>= 4``, so the kernel
+    is asked with an empty set of low-degree vertices.  Each state's
+    degrees are computed once, and :func:`_merge_kills` judges a child
+    before it is built, from the rows of the merged pair: merging ``u``
+    and ``v`` (merged weight ``>= 2``) removes one anchor iff both weigh
+    ``>= 2``, and only the rows of the merged vertex and its neighbours
+    change, so only they are checked; a neighbour's row is scanned only
+    when its edges to the merged vertex exceed its own bound.
 
     *Memo.*  A state reached from ``g`` is fixed by the partition of
     ``g``'s vertices into merged groups, since weights and multiplicities
     add up over groups.  Failed states are recorded as ``(g, partition)``
     (each group a bit mask over ``g.vertices``) in ``memo``, which may be
     shared across calls, also for different graphs, to reuse failure
-    knowledge.  Only failing subtrees are cut, so the certificate does not
-    depend on the memo.
+    knowledge; a state the rules reject is not recorded.  The rules and
+    the memo cut only failing subtrees, so the certificate depends on
+    neither.
     """
     if g.vertex_count > DEFAULT_MAX_VERTICES:
         raise BoundExceededError(
@@ -387,49 +412,96 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
         return None
     if g.vertex_count == 1:
         return ContractionCertificate(g, ())
-    if any(g._weights[x] <= 0 or sum(g._adj[x].values()) <= 3 for x in g._vertices):
+    anchors = _viability(g)
+    if anchors is None:
         return None
     failed = memo if memo is not None else set()
-
-    def search(h: WeightedMultigraph, groups: dict[str, int], name_index: int) -> list[ContractionStep] | None:
-        adj, wt = h._adj, h._weights
-        k = _fresh_index(h, name_index)
-        merged = f"m{k}"
-        for u, v, mult in h.edge_items():
-            deg_u = sum(adj[u].values())
-            deg_v = sum(adj[v].values())
-            bounds = _admissible(u, v, mult, wt[u], wt[v], deg_u, deg_v, ())
-            if bounds is None:
-                continue
-            l, hi_uv, hi_vu = bounds
-            if l <= hi_uv:
-                pair = (u, v)
-            elif l <= hi_vu:
-                pair = (v, u)
-            else:
-                continue
-            if h.vertex_count == 2:
-                return [ContractionStep(pair, l, merged)]
-            if deg_u + deg_v - 2 * mult <= 3:
-                continue
-            child = {x: mask for x, mask in groups.items() if x != u and x != v}
-            child[merged] = groups[u] | groups[v]
-            if (g, frozenset(child.values())) in failed:
-                continue
-            rest = search(contract(h, pair, merged), child, k + 1)
-            if rest is not None:
-                rest.insert(0, ContractionStep(pair, l, merged))
-                return rest
-        failed.add((g, frozenset(groups.values())))
-        return None
-
     root = {x: 1 << i for i, x in enumerate(g._vertices)}
     if (g, frozenset(root.values())) in failed:
         return None
-    steps = search(g, root, 1)
+    steps = _search(g, failed, g, root, 1, anchors)
     if steps is None:
         return None
     return ContractionCertificate(g, tuple(steps))
+
+
+def _viability(h: WeightedMultigraph) -> int | None:
+    """``None`` when a state of two or more vertices is NO by the dead
+    endpoint or the two-anchor rule of :func:`decide_contractible`;
+    otherwise its number of anchors."""
+    wt = h._weights
+    for x, row in h._adj.items():
+        w = wt[x]
+        d = sum(row.values())
+        bound = d + w - 4
+        if w <= 0 or d <= 3 or all(m > bound for m in row.values()):
+            return None
+    anchors = sum(w >= 2 for w in wt.values())
+    return anchors if anchors >= 2 else None
+
+
+def _merge_kills(
+    adj: dict[str, dict[str, int]], wt: dict[str, int], deg: dict[str, int], anchors: int, u: str, v: str, mult: int
+) -> bool:
+    """Whether :func:`_viability` rejects the child of merging the pair
+    ``u``, ``v`` (joined by ``mult`` edges) of a state of three or more
+    vertices that it accepts with ``anchors``, where ``deg`` holds the
+    state's degrees; decided without building the child."""
+    if anchors - (wt[u] >= 2 and wt[v] >= 2) < 2:
+        return True
+    d = deg[u] + deg[v] - 2 * mult
+    if d <= 3:
+        return True
+    bound = d + wt[u] + wt[v] - 4
+    row_u, row_v = adj[u], adj[v]
+    merged_usable = False
+    for x in row_u.keys() | row_v.keys():
+        if x == u or x == v:
+            continue
+        m = row_u.get(x, 0) + row_v.get(x, 0)
+        if m <= bound:
+            merged_usable = True
+        # x swaps its neighbours u, v for the merged vertex, joined by m
+        # edges; it dies if that leaves it no usable neighbour.
+        bound_x = deg[x] + wt[x] - 4
+        if m > bound_x and all(k > bound_x for y, k in adj[x].items() if y != u and y != v):
+            return True
+    return not merged_usable
+
+
+def _search(
+    g: WeightedMultigraph, failed: set, h: WeightedMultigraph, groups: dict[str, int], name_index: int, anchors: int
+) -> list[ContractionStep] | None:
+    """The steps contracting the state ``h`` of :func:`decide_contractible`
+    to a point, or ``None`` after recording it in ``failed``; ``groups``
+    maps each vertex of ``h`` to its bit mask over ``g.vertices``, and
+    ``h``, which passes both rules, has ``anchors`` anchors."""
+    adj, wt = h._adj, h._weights
+    deg = {x: sum(row.values()) for x, row in adj.items()}
+    k = _fresh_index(h, name_index)
+    merged = f"m{k}"
+    for u, v, mult in h.edge_items():
+        l, hi_uv, hi_vu = _admissible(u, v, mult, wt[u], wt[v], deg[u], deg[v], ())
+        if l <= hi_uv:
+            pair = (u, v)
+        elif l <= hi_vu:
+            pair = (v, u)
+        else:
+            continue
+        if len(wt) == 2:
+            return [ContractionStep(pair, l, merged)]
+        if _merge_kills(adj, wt, deg, anchors, u, v, mult):
+            continue
+        child = {x: mask for x, mask in groups.items() if x != u and x != v}
+        child[merged] = groups[u] | groups[v]
+        if (g, frozenset(child.values())) in failed:
+            continue
+        rest = _search(g, failed, contract(h, pair, merged), child, k + 1, anchors - (wt[u] >= 2 and wt[v] >= 2))
+        if rest is not None:
+            rest.insert(0, ContractionStep(pair, l, merged))
+            return rest
+    failed.add((g, frozenset(groups.values())))
+    return None
 
 
 ORACLE_MAX_VERTICES = 5

@@ -59,25 +59,29 @@ class WeightedMultigraph:
             wt[v] = w
         adj: dict[str, dict[str, int]] = {v: {} for v in wt}
         row_of = adj.get
-        for entry in edges:
-            if len(entry) == 2:
-                u, v = entry
-                mult = 1
-            elif len(entry) == 3:
-                u, v, mult = entry
-            else:
-                raise GraphError(f"edge entry must be (u, v) or (u, v, mult), got {entry!r}")
-            row_u, row_v = row_of(u), row_of(v)
-            if row_u is None or row_v is None:
-                missing = u if row_u is None else v
-                raise UnknownVertexError(f"edge endpoint {missing!r} is not a vertex")
-            if u == v:
-                raise GraphError(f"self-loop at {u!r} is not allowed")
-            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
-                raise GraphError(f"multiplicity of ({u!r}, {v!r}) must be a non-negative integer")
-            if mult:
-                row_u[v] = row_u.get(v, 0) + mult
-                row_v[u] = row_v.get(u, 0) + mult
+        entry = None
+        try:  # one handler for the whole loop: no per-edge cost
+            for entry in edges:
+                if len(entry) == 2:
+                    u, v = entry
+                    mult = 1
+                elif len(entry) == 3:
+                    u, v, mult = entry
+                else:
+                    raise GraphError(f"edge entry must be (u, v) or (u, v, mult), got {entry!r}")
+                row_u, row_v = row_of(u), row_of(v)
+                if row_u is None or row_v is None:
+                    missing = u if row_u is None else v
+                    raise UnknownVertexError(f"edge endpoint {missing!r} is not a vertex")
+                if u == v:
+                    raise GraphError(f"self-loop at {u!r} is not allowed")
+                if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
+                    raise GraphError(f"multiplicity of ({u!r}, {v!r}) must be a non-negative integer")
+                if mult:
+                    row_u[v] = row_u.get(v, 0) + mult
+                    row_v[u] = row_v.get(u, 0) + mult
+        except TypeError as exc:  # an unhashable endpoint, or an entry or edge list of the wrong type
+            raise GraphError(f"malformed edge entry {entry!r}: {exc}") from None
         self._weights = wt
         self._adj = {v: dict(sorted(nbrs.items())) for v, nbrs in adj.items()}
         self._vertices = tuple(wt)

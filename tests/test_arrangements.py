@@ -66,6 +66,8 @@ class TestBuilders:
             (((Role.LINE, 2.0),), "count of role 'line' must be a non-negative integer, got 2.0"),
             (((Role.LINE, True),), "count of role 'line' must be a non-negative integer, got True"),
             (((Role.LINE, 2), (Role.LINE, 3)), "each role may be counted only once"),
+            (((Role.LINE, 0),), "an arrangement needs at least one component"),
+            ((), "an arrangement needs at least one component"),
         ],
     )
     def test_direct_construction_checks_counts(self, counts, message):
@@ -91,6 +93,15 @@ class TestBuilders:
             general_lines(0)
         with pytest.raises(ValueError):
             fibers_and_sections(0, 0, 0)
+
+    def test_empty_arrangement_keeps_the_builder_messages(self):
+        # the builders refuse an empty arrangement before constructing one
+        with pytest.raises(ValueError, match=r"^need at least one line, got 0$"):
+            general_lines(0)
+        with pytest.raises(ValueError, match=r"^need non-negative counts with at least one component, got 0, 0$"):
+            fibers_and_sections(1, 0, 0)
+        with pytest.raises(ValueError, match="an arrangement needs at least one component"):
+            Arrangement(hirzebruch(1), ((Role.FIBER, 0), (Role.SECTION, 0)))
 
     def test_size_bound(self):
         assert general_lines(MAX_COMPONENTS).size == MAX_COMPONENTS

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 import time
 
 import pytest
@@ -11,7 +13,7 @@ from horicert import (
     complete_multipartite,
     verify_certificate,
 )
-from horicert.cli import run
+from horicert.cli import MAX_INPUT_BYTES, run
 from horicert import fixtures
 
 
@@ -108,6 +110,19 @@ class TestGraphCommands:
         code, _, err = invoke(capsys, "graph-dual", "wat:N=1")
         assert code == 3
         assert "shorthand" in err
+
+    @pytest.mark.parametrize(
+        "shorthand, message",
+        [
+            ("lines:P2:m=0", "need at least one line, got 0"),
+            ("fn:N=1:a=0:b=0", "need non-negative counts with at least one component, got 0, 0"),
+        ],
+    )
+    def test_graph_dual_empty_arrangement(self, capsys, shorthand, message):
+        code, out, err = invoke(capsys, "graph-dual", shorthand)
+        assert code == 3
+        assert out == ""
+        assert err == f"horicert: error: bad arrangement shorthand {shorthand!r}: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -249,8 +264,11 @@ class TestCertVerify:
     def test_largest_theorem_certificate_verifies(self, capsys, tmp_path):
         code, out, _ = invoke(capsys, "theorem", "p2", "--d", "512", "--format", "json")
         assert code == 0
+        cert = json.loads(out)["attachments"]["certificate"]
+        # well inside the byte limit on reads, even indented
+        assert 2 * 2**20 < len(json.dumps(cert, indent=2).encode()) < MAX_INPUT_BYTES / 3
         path = tmp_path / "cert.json"
-        path.write_text(json.dumps(json.loads(out)["attachments"]["certificate"]))
+        path.write_text(json.dumps(cert))
         code, out, _ = invoke(capsys, "cert-verify", str(path))
         assert code == 0
         assert out.strip() == "valid"
@@ -278,6 +296,37 @@ class TestCertVerify:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestInputLimit:
+    """Graph and certificate documents are read up to ``MAX_INPUT_BYTES``;
+    a longer input is refused before it is parsed."""
+
+    INPUTS = [
+        (("contract-decide", "--graph"), lambda: builtin("K2").to_json_dict()),
+        (("cert-verify",), lambda: fixtures.load_certificate("K1").to_json_dict()),
+    ]
+    REFUSED = f"horicert: error: input document limited to {MAX_INPUT_BYTES} bytes\n"
+
+    @staticmethod
+    def padded(doc: dict, size: int) -> bytes:
+        text = json.dumps(doc).encode()
+        return text + b" " * (size - len(text))
+
+    @pytest.mark.parametrize("argv, document", INPUTS)
+    def test_file_one_byte_over_the_limit_exits_3(self, capsys, tmp_path, argv, document):
+        path = tmp_path / "doc.json"
+        path.write_bytes(self.padded(document(), MAX_INPUT_BYTES + 1))
+        assert invoke(capsys, *argv, str(path)) == (3, "", self.REFUSED)
+        path.write_bytes(self.padded(document(), MAX_INPUT_BYTES))
+        code, _, err = invoke(capsys, *argv, str(path))
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("argv, document", INPUTS)
+    def test_stdin_one_byte_over_the_limit_exits_3(self, capsys, monkeypatch, argv, document):
+        data = self.padded(document(), MAX_INPUT_BYTES + 1)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert invoke(capsys, *argv, "-") == (3, "", self.REFUSED)
 
 
 class TestChermAndGenus:

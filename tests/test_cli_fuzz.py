@@ -75,7 +75,7 @@ def mutants(draw, documents):
 
 def _invoke(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
-    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    saved, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)

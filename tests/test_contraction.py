@@ -1,4 +1,7 @@
+import gc
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,9 @@ from horicert import (
 from conftest import reference_verify
 from horicert import contraction
 from horicert.fixtures import load_certificate
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def two_vertex(w1=1, w2=2, mult=1):
@@ -276,6 +282,64 @@ class TestDecide:
             assert any(g.weight(x) <= 0 or g.degree(x) <= 3 for x in g.vertices)
             assert not brute_force_oracle(g, max_total_multiplicity=30)
             assert decide_contractible(g) is None
+
+    def test_two_anchors_of_weight_four_contract(self):
+        # The last step needs l >= 3, so both final vertices weigh >= 4.
+        cert = decide_contractible(two_vertex(4, 5, mult=4))
+        assert cert is not None and cert.steps == (ContractionStep(("a", "b"), 3, "m1"),)
+        assert decide_contractible(two_vertex(3, 5, mult=4)) is None
+
+    def test_one_anchor_is_rejected_on_entry(self):
+        # A complete multigraph with one vertex of weight >= 2 and every
+        # vertex mergeable on its own: only the two-anchor rule rejects it.
+        names = [f"v{i}" for i in range(1, 9)]
+        weights = dict.fromkeys(names, 1) | {"v5": 3}
+        edges = [(u, v, 1 + (i + j) % 2) for (i, u), (j, v) in itertools.combinations(enumerate(names), 2)]
+        memo = set()
+        assert decide_contractible(WeightedMultigraph(weights, edges), memo=memo) is None
+        assert memo == set()
+
+    def test_slow_random_no_graph_is_rejected_on_entry(self):
+        # Graph 2040 of 3,000 random graphs drawn from random.Random(7)
+        # (10..12 vertices, edge probability 0.3..0.7, weights 1..4,
+        # multiplicities 1..3): before the dead-endpoint rule the search
+        # filled 232,444 memo entries on it.  Vertex v08 has weight 1,
+        # degree 4 and multiplicity 2 to each of its neighbours, above the
+        # bound d + w - 4 = 1, so it can never be merged.
+        g = WeightedMultigraph.from_json_dict(json.loads((DATA / "random7-2040.graph.json").read_text()))
+        assert g.vertex_count == 12 and g.degree("v08") == 4 and set(g._adj["v08"].values()) == {2}
+        memo = set()
+        assert decide_contractible(g, memo=memo) is None
+        assert len(memo) == 0
+
+    def test_merge_can_kill_a_neighbour(self):
+        # v4 (weight 1, degree 4) is usable only through v1 and v2, each by
+        # one edge; merging them joins v4 to the merged vertex by 2 > 1
+        # edges.  The merged vertex, v3 and the anchors v1, v3 stay fine.
+        g = WeightedMultigraph(
+            {"v1": 2, "v2": 1, "v3": 3, "v4": 1},
+            [("v1", "v2", 2), ("v1", "v3", 2), ("v1", "v4", 1), ("v2", "v3", 2), ("v2", "v4", 1), ("v3", "v4", 2)],
+        )
+        assert feasible_l_range(g, "v2", "v1") == (0,)
+        deg = {x: g.degree(x) for x in g.vertices}
+        assert contraction._merge_kills(g._adj, g._weights, deg, contraction._viability(g), "v1", "v2", 2)
+        child = contract(g, ("v1", "v2"), "m1")
+        assert contraction._viability(child) is None
+        assert [x for x in child.vertices if child.weight(x) + child.degree(x) - 4 < min(child._adj[x].values())] == ["v4"]
+
+    def test_search_leaves_no_reference_cycle(self):
+        # Garbage left in a reference cycle would keep each call's memo
+        # alive until the cyclic collector runs.
+        graphs = [builtin("K2"), builtin("example-G")]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                for g in graphs:
+                    decide_contractible(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOracle:

@@ -100,6 +100,10 @@ class TestConstruction:
             # vertex ids must be strings; the first non-string one is named
             ({1: 2, 2: 2}, [(1, 2)], GraphError, "vertex id must be a string, got 1"),
             ({1: 2, "a": 2}, [], GraphError, "vertex id must be a string, got 1"),
+            # an entry of the wrong type, or an unhashable endpoint, is a GraphError too
+            ({"a": 1}, [(["a"], "a")], GraphError, "malformed edge entry (['a'], 'a'): unhashable type: 'list'"),
+            ({"a": 1, "b": 1}, [("a", {"b": 1}, 1)], GraphError, "malformed edge entry ('a', {'b': 1}, 1): unhashable type: 'dict'"),
+            ({"a": 1, "b": 1}, [("a", "b"), 5], GraphError, "malformed edge entry 5: object of type 'int' has no len()"),
         ],
     )
     def test_rejection_messages(self, weights, edges, error, message):

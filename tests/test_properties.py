@@ -204,6 +204,62 @@ def test_search_matches_oracle_on_random_graphs(g):
         assert verify_certificate(cert)
 
 
+def _rules_reject(h):
+    """The two rules that reject a search state, read off the definition:
+    some vertex could not be an endpoint of an admissible step even with a
+    partner joined by as few edges as its sparsest neighbour (it keeps its
+    weight and degree until it is merged), or fewer than two vertices
+    weigh 2 or more (both final vertices need weight >= 4)."""
+    for x in h.vertices:
+        w, d = h.weight(x), h.degree(x)
+        if not any(
+            l <= w - 1 and d - m + l >= 3 for m in (h.multiplicity(x, y) for y in h.neighbors(x)) for l in range(m)
+        ):
+            return True
+    return sum(h.weight(x) >= 2 for x in h.vertices) < 2
+
+
+@BIG
+@given(graphs(min_vertices=2, max_vertices=6, min_weight=-1, max_weight=5))
+def test_viability_is_the_two_rules(g):
+    assert (contraction._viability(g) is None) == _rules_reject(g)
+
+
+@given(graphs(min_vertices=2, max_vertices=5, min_weight=0, max_weight=5))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_states_rejected_on_entry_are_no(g):
+    if contraction._viability(g) is None:
+        assert decide_contractible(g) is None
+        assert not brute_force_oracle(g, max_total_multiplicity=30)
+
+
+@st.composite
+def searched_states(draw):
+    """Graphs on 3..6 vertices, most of which pass the entry check: weights
+    1..5 (shrinking to 2) and multiplicities 1..3 with an occasional 0."""
+    n = draw(st.integers(3, 6))
+    names = [f"v{i}" for i in range(1, n + 1)]
+    weights = {v: draw(st.sampled_from((2, 1, 3, 4, 5))) for v in names}
+    edges = [(u, v, draw(st.sampled_from((1, 2, 3, 0)))) for u, v in itertools.combinations(names, 2)]
+    return WeightedMultigraph(weights, edges)
+
+
+@BIG
+@given(searched_states())
+def test_children_rejected_by_the_search_are_no(g):
+    # The search judges a child before building it; that judgement must be
+    # the entry check on the built child, and a rejected child must be NO.
+    anchors = contraction._viability(g)
+    assume(anchors is not None)
+    deg = {x: g.degree(x) for x in g.vertices}
+    for u, v, mult in g.edge_items():
+        child = contract(g, (u, v))
+        killed = contraction._merge_kills(g._adj, g._weights, deg, anchors, u, v, mult)
+        assert killed == (contraction._viability(child) is None)
+        if killed:
+            assert not brute_force_oracle(child, max_total_multiplicity=45)
+
+
 @given(graphs(max_vertices=6))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_search_certificates_always_verify(g):
