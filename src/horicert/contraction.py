@@ -24,10 +24,13 @@ The search rejects, with proofs in :func:`decide_contractible`, every
 state that holds a vertex that can never be merged (weight <= 0, degree
 <= 3, or more edges to each neighbour than its weight and degree allow)
 or fewer than two vertices of weight >= 2, the two anchors that the last
-step needs.  It judges each child before building it, from the degrees
-it computes once per state, and keys its failure memo by the partition
-of the input's vertices into merged groups, which fixes the state exactly
-and costs no canonical form.
+step needs.  It works on one mutable copy of the input's rows, weights
+and degrees: it judges each child before merging its pair, merges the
+pair in place, which changes only the rows of the pair and its neighbours
+and only the merged vertex's degree, and undoes the merge exactly on
+backtrack.  It keys its failure memo by the partition of the input's
+vertices into merged groups, which fixes the state exactly and costs no
+canonical form.
 
 Verification and absorption replay their steps without copying or
 rewriting the graph: they keep, for each current vertex, the group of
@@ -37,9 +40,8 @@ vertices is summed by the merge that joins it and by no other, so
 ``m - 1`` steps on ``m`` vertices cost O(m^2) in total.  Absorption
 then builds its reduced graph, at most eight vertices, once through the
 public constructor.  :func:`contract`, the public one-step function used
-by the search and by :meth:`ContractionCertificate.replay`, builds the
-child graph whole, row by row in sorted order, since the search goes on
-from it.
+by :meth:`ContractionCertificate.replay`, builds the child graph whole,
+row by row in sorted order; neither the search nor verification calls it.
 
 The rule above is encoded once, in ``_admissible``, for the search,
 verification, absorption and :func:`feasible_l_range`.  The oracle is a
@@ -51,6 +53,7 @@ certificates ``K1``..``K4`` and their graphs live only as JSON under
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Container, Iterable, Mapping
@@ -167,7 +170,8 @@ def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = 
     parameter.  ``merged`` defaults to a fresh ``m<k>`` id.  One call
     builds the child graph row by row in sorted order, in O(m^2) time
     for ``m`` vertices; to check a list of steps, replay them on one
-    ``_Replay`` instead.
+    ``_Replay`` instead.  The search does not call it: it merges in place
+    on one ``_SearchState``.
     """
     v, w = pair
     if g.multiplicity(v, w) < 1:
@@ -387,22 +391,25 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
 
     The search checks both rules on entry.  Then every vertex of every
     state searched has weight ``>= 1`` and degree ``>= 4``, so the kernel
-    is asked with an empty set of low-degree vertices.  Each state's
-    degrees are computed once, and :func:`_merge_kills` judges a child
-    before it is built, from the rows of the merged pair: merging ``u``
-    and ``v`` (merged weight ``>= 2``) removes one anchor iff both weigh
-    ``>= 2``, and only the rows of the merged vertex and its neighbours
-    change, so only they are checked; a neighbour's row is scanned only
-    when its edges to the merged vertex exceed its own bound.
+    is asked with an empty set of low-degree vertices.  The search works on
+    one :class:`_SearchState`, whose degrees are summed once, from the
+    input, and which a merge changes in place and an undo restores.
+    :func:`_merge_kills` judges a child before its pair is merged, from
+    the rows of the pair: merging ``u`` and ``v`` (merged weight ``>= 2``)
+    removes one anchor iff both weigh ``>= 2``, and only the rows of the
+    merged vertex and its neighbours change, so only they are checked; a
+    neighbour's row is scanned only when its edges to the merged vertex
+    exceed its own bound.
 
     *Memo.*  A state reached from ``g`` is fixed by the partition of
     ``g``'s vertices into merged groups, since weights and multiplicities
     add up over groups.  Failed states are recorded as ``(g, partition)``
     (each group a bit mask over ``g.vertices``) in ``memo``, which may be
     shared across calls, also for different graphs, to reuse failure
-    knowledge; a state the rules reject is not recorded.  The rules and
-    the memo cut only failing subtrees, so the certificate depends on
-    neither.
+    knowledge; a state the rules reject is not recorded.  A child found in
+    the memo is skipped before it is judged: most children of a long NO
+    search were reached and failed before.  The rules and the memo cut
+    only failing subtrees, so the certificate depends on neither.
     """
     if g.vertex_count > DEFAULT_MAX_VERTICES:
         raise BoundExceededError(
@@ -416,10 +423,11 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     if anchors is None:
         return None
     failed = memo if memo is not None else set()
-    root = {x: 1 << i for i, x in enumerate(g._vertices)}
-    if (g, frozenset(root.values())) in failed:
+    state = _SearchState(g, failed)
+    key = frozenset(state.groups.values())
+    if (g, key) in failed:
         return None
-    steps = _search(g, failed, g, root, 1, anchors)
+    steps = _search(state, key, 1, anchors)
     if steps is None:
         return None
     return ContractionCertificate(g, tuple(steps))
@@ -445,8 +453,9 @@ def _merge_kills(
 ) -> bool:
     """Whether :func:`_viability` rejects the child of merging the pair
     ``u``, ``v`` (joined by ``mult`` edges) of a state of three or more
-    vertices that it accepts with ``anchors``, where ``deg`` holds the
-    state's degrees; decided without building the child."""
+    vertices that it accepts with ``anchors``, where ``adj``, ``wt`` and
+    ``deg`` hold the state's rows, weights and degrees; decided before the
+    pair is merged."""
     if anchors - (wt[u] >= 2 and wt[v] >= 2) < 2:
         return True
     d = deg[u] + deg[v] - 2 * mult
@@ -469,38 +478,118 @@ def _merge_kills(
     return not merged_usable
 
 
-def _search(
-    g: WeightedMultigraph, failed: set, h: WeightedMultigraph, groups: dict[str, int], name_index: int, anchors: int
-) -> list[ContractionStep] | None:
-    """The steps contracting the state ``h`` of :func:`decide_contractible`
-    to a point, or ``None`` after recording it in ``failed``; ``groups``
-    maps each vertex of ``h`` to its bit mask over ``g.vertices``, and
-    ``h``, which passes both rules, has ``anchors`` anchors."""
-    adj, wt = h._adj, h._weights
-    deg = {x: sum(row.values()) for x, row in adj.items()}
-    k = _fresh_index(h, name_index)
+class _SearchState:
+    """The one mutable state of a search from ``g``: merged in place, and
+    split again exactly on backtrack.
+
+    ``rows``, ``wt`` and ``deg`` hold the adjacency rows, weights and
+    degrees of the current vertices, copied once from ``g``, so ``g`` is
+    never changed.  ``groups`` maps each current vertex to its bit mask
+    over ``g.vertices`` and ``live`` lists the current vertices in sorted
+    order.  A merge sums the pair's rows into the merged row, swaps each
+    neighbour's entries for the pair for one entry for the merged vertex,
+    and changes no degree but the merged vertex's (see :class:`_Replay`).
+    """
+
+    __slots__ = ("g", "failed", "rows", "wt", "deg", "groups", "live")
+
+    def __init__(self, g: WeightedMultigraph, failed: set):
+        self.g = g
+        self.failed = failed
+        self.rows = {x: row.copy() for x, row in g._adj.items()}
+        self.wt = dict(g._weights)
+        self.deg = {x: sum(row.values()) for x, row in g._adj.items()}
+        self.groups = {x: 1 << i for i, x in enumerate(g._vertices)}
+        self.live = list(g._vertices)
+
+    def merge(self, u: str, v: str, merged: str, mult: int) -> tuple:
+        """Contract the current vertices ``u``, ``v``, joined by ``mult``
+        edges, into the new vertex ``merged``; returns what :meth:`undo`
+        needs to split it again."""
+        rows, wt, deg, groups, live = self.rows, self.wt, self.deg, self.groups, self.live
+        row_u, row_v = rows.pop(u), rows.pop(v)
+        row = row_u.copy()
+        del row[v]
+        for x, k in row_v.items():
+            if x != u:
+                row[x] = row.get(x, 0) + k
+        for x, k in row.items():
+            nbrs = rows[x]
+            nbrs.pop(u, None)
+            nbrs.pop(v, None)
+            nbrs[merged] = k
+        rows[merged] = row
+        wt_u, wt_v = wt.pop(u), wt.pop(v)
+        deg_u, deg_v = deg.pop(u), deg.pop(v)
+        mask_u, mask_v = groups.pop(u), groups.pop(v)
+        wt[merged] = wt_u + wt_v
+        deg[merged] = deg_u + deg_v - 2 * mult
+        groups[merged] = mask_u | mask_v
+        live.remove(u)
+        live.remove(v)
+        insort(live, merged)
+        return u, v, merged, row_u, row_v, wt_u, wt_v, deg_u, deg_v, mask_u, mask_v
+
+    def undo(self, saved: tuple) -> None:
+        """Split the vertex made by the :meth:`merge` that returned ``saved``,
+        the last merge not yet undone."""
+        u, v, merged, row_u, row_v, wt_u, wt_v, deg_u, deg_v, mask_u, mask_v = saved
+        rows, wt, deg, groups, live = self.rows, self.wt, self.deg, self.groups, self.live
+        for x in rows.pop(merged):
+            nbrs = rows[x]
+            del nbrs[merged]
+            if x in row_u:
+                nbrs[u] = row_u[x]
+            if x in row_v:
+                nbrs[v] = row_v[x]
+        rows[u], rows[v] = row_u, row_v
+        del wt[merged], deg[merged], groups[merged]
+        wt[u], wt[v] = wt_u, wt_v
+        deg[u], deg[v] = deg_u, deg_v
+        groups[u], groups[v] = mask_u, mask_v
+        live.remove(merged)
+        insort(live, u)
+        insort(live, v)
+
+
+def _search(s: _SearchState, key: frozenset, name_index: int, anchors: int) -> list[ContractionStep] | None:
+    """The steps contracting the current state of ``s`` to a point, or
+    ``None`` after recording it in ``s.failed`` and leaving ``s`` as it
+    was; ``key`` is the state's partition of ``g.vertices`` and the state,
+    which passes both rules of :func:`decide_contractible`, has ``anchors``
+    anchors.  A state is left merged only on success."""
+    g, failed, rows, wt, deg, groups, live = s.g, s.failed, s.rows, s.wt, s.deg, s.groups, s.live
+    k = _fresh_index(wt, name_index)
     merged = f"m{k}"
-    for u, v, mult in h.edge_items():
-        l, hi_uv, hi_vu = _admissible(u, v, mult, wt[u], wt[v], deg[u], deg[v], ())
-        if l <= hi_uv:
-            pair = (u, v)
-        elif l <= hi_vu:
-            pair = (v, u)
-        else:
-            continue
-        if len(wt) == 2:
-            return [ContractionStep(pair, l, merged)]
-        if _merge_kills(adj, wt, deg, anchors, u, v, mult):
-            continue
-        child = {x: mask for x, mask in groups.items() if x != u and x != v}
-        child[merged] = groups[u] | groups[v]
-        if (g, frozenset(child.values())) in failed:
-            continue
-        rest = _search(g, failed, contract(h, pair, merged), child, k + 1, anchors - (wt[u] >= 2 and wt[v] >= 2))
-        if rest is not None:
-            rest.insert(0, ContractionStep(pair, l, merged))
-            return rest
-    failed.add((g, frozenset(groups.values())))
+    # Pairs in sorted order, as edge_items lists them.  Every merge below
+    # is undone before the scan goes on, so ``live`` is the same list again.
+    for i, u in enumerate(live):
+        row_u = rows[u]
+        for v in live[i + 1:]:
+            mult = row_u.get(v)
+            if mult is None:
+                continue
+            wt_u, wt_v = wt[u], wt[v]
+            l, hi_uv, hi_vu = _admissible(u, v, mult, wt_u, wt_v, deg[u], deg[v], ())
+            if l <= hi_uv:
+                pair = (u, v)
+            elif l <= hi_vu:
+                pair = (v, u)
+            else:
+                continue
+            if len(live) == 2:
+                return [ContractionStep(pair, l, merged)]
+            mask_u, mask_v = groups[u], groups[v]
+            child = key.difference((mask_u, mask_v)).union((mask_u | mask_v,))
+            if (g, child) in failed or _merge_kills(rows, wt, deg, anchors, u, v, mult):
+                continue
+            saved = s.merge(u, v, merged, mult)
+            rest = _search(s, child, k + 1, anchors - (wt_u >= 2 and wt_v >= 2))
+            if rest is not None:
+                rest.insert(0, ContractionStep(pair, l, merged))
+                return rest
+            s.undo(saved)
+    failed.add((g, key))
     return None
 
 

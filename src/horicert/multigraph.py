@@ -75,22 +75,29 @@ class WeightedMultigraph:
                     raise UnknownVertexError(f"edge endpoint {missing!r} is not a vertex")
                 if u == v:
                     raise GraphError(f"self-loop at {u!r} is not allowed")
-                if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
+                if (type(mult) is not int and (not isinstance(mult, int) or isinstance(mult, bool))) or mult < 0:
                     raise GraphError(f"multiplicity of ({u!r}, {v!r}) must be a non-negative integer")
                 if mult:
                     row_u[v] = row_u.get(v, 0) + mult
                     row_v[u] = row_v.get(u, 0) + mult
         except TypeError as exc:  # an unhashable endpoint, or an entry or edge list of the wrong type
             raise GraphError(f"malformed edge entry {entry!r}: {exc}") from None
+        for v, nbrs in adj.items():
+            keys = list(nbrs)
+            order = sorted(keys)
+            if keys != order:  # a row filled in sorted order is kept as it is
+                adj[v] = {x: nbrs[x] for x in order}
         self._weights = wt
-        self._adj = {v: dict(sorted(nbrs.items())) for v, nbrs in adj.items()}
+        self._adj = adj
         self._vertices = tuple(wt)
         self._hash: int | None = None
 
     @classmethod
     def _from_parts(cls, weights: dict[str, int], adj: dict[str, dict[str, int]]) -> "WeightedMultigraph":
-        # Trusted fast path, with no checks and no sorting, for the two hot
-        # builds: ``contraction.contract`` and ``arrangements.dual_graph``.
+        # Trusted fast path, with no checks and no sorting, for the two
+        # builds from parts made in sorted order: ``arrangements.dual_graph``
+        # on the theorem path, and ``contraction.contract`` for certificate
+        # replay (the search merges in place and builds no graph).
         # It takes ownership of both dicts, which the caller must build as
         # the public constructor would: ``weights`` and ``adj`` with the same
         # keys in sorted order, every row symmetric, free of zeros and

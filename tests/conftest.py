@@ -121,6 +121,54 @@ def reference_verify(cert, require_singleton=True):
     return True
 
 
+def reference_decide(g, memo=None):
+    """``decide_contractible`` as a literal search that builds every child
+    graph with :func:`contract` and sums each state's degrees afresh; the
+    same rules, memo keys, pair order and merged ids, so it must give the
+    same certificate and leave the same memo."""
+    if g.vertex_count == 0:
+        return None
+    if g.vertex_count == 1:
+        return contraction.ContractionCertificate(g, ())
+    anchors = contraction._viability(g)
+    if anchors is None:
+        return None
+    failed = memo if memo is not None else set()
+    root = {x: 1 << i for i, x in enumerate(g.vertices)}
+    if (g, frozenset(root.values())) in failed:
+        return None
+    steps = _reference_search(g, failed, g, root, 1, anchors)
+    return None if steps is None else contraction.ContractionCertificate(g, tuple(steps))
+
+
+def _reference_search(g, failed, h, groups, name_index, anchors):
+    deg = {x: h.degree(x) for x in h.vertices}
+    k = contraction._fresh_index(h, name_index)
+    merged = f"m{k}"
+    for u, v, mult in h.edge_items():
+        l, hi_uv, hi_vu = contraction._admissible(u, v, mult, h.weight(u), h.weight(v), deg[u], deg[v], ())
+        if l <= hi_uv:
+            pair = (u, v)
+        elif l <= hi_vu:
+            pair = (v, u)
+        else:
+            continue
+        if h.vertex_count == 2:
+            return [contraction.ContractionStep(pair, l, merged)]
+        if contraction._merge_kills(h._adj, h._weights, deg, anchors, u, v, mult):
+            continue
+        child = {x: mask for x, mask in groups.items() if x != u and x != v}
+        child[merged] = groups[u] | groups[v]
+        if (g, frozenset(child.values())) in failed:
+            continue
+        lost = h.weight(u) >= 2 and h.weight(v) >= 2
+        rest = _reference_search(g, failed, contract(h, pair, merged), child, k + 1, anchors - lost)
+        if rest is not None:
+            return [contraction.ContractionStep(pair, l, merged)] + rest
+    failed.add((g, frozenset(groups.values())))
+    return None
+
+
 __all__ = [
     "graphs",
     "multipartite_graphs",
@@ -128,4 +176,5 @@ __all__ = [
     "relabelled",
     "assert_sorted_layout",
     "reference_verify",
+    "reference_decide",
 ]

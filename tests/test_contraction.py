@@ -327,6 +327,47 @@ class TestDecide:
         assert contraction._viability(child) is None
         assert [x for x in child.vertices if child.weight(x) + child.degree(x) - 4 < min(child._adj[x].values())] == ["v4"]
 
+    @pytest.mark.parametrize(
+        "weights, edges, contractible, failed",
+        [
+            # YES after three failed states.
+            (
+                {"v1": 2, "v2": 4, "v3": 1, "v4": 2},
+                [("v1", "v2", 2), ("v1", "v3", 1), ("v1", "v4", 2), ("v2", "v3", 2), ("v2", "v4", 1), ("v3", "v4", 1)],
+                True,
+                3,
+            ),
+            # NO after eight failed states.
+            (
+                dict.fromkeys(("v1", "v2", "v3", "v4"), 2),
+                [("v1", "v2", 2), ("v1", "v3", 2), ("v1", "v4", 1), ("v2", "v3", 2), ("v2", "v4", 1), ("v3", "v4", 2)],
+                False,
+                8,
+            ),
+        ],
+    )
+    def test_search_leaves_the_input_graph_unchanged(self, weights, edges, contractible, failed):
+        # The search merges and splits a copy of the rows in place.
+        g = WeightedMultigraph(weights, edges)
+        rows = [(x, list(row.items())) for x, row in g._adj.items()]
+        hashed = hash(g)
+        memo = set()
+        assert (decide_contractible(g, memo=memo) is not None) == contractible
+        assert len(memo) == failed
+        assert [(x, list(row.items())) for x, row in g._adj.items()] == rows
+        assert g._weights == weights and tuple(g._weights) == g.vertices
+        assert hash(g) == hashed == hash(WeightedMultigraph(weights, edges))
+        assert g == WeightedMultigraph(weights, edges)
+
+    def test_adversarial_no_graph_memo_count(self):
+        # A 12-vertex NO graph found by a seeded hill-climb that maximises
+        # memo entries; the count, not the time, is what is pinned.
+        g = WeightedMultigraph.from_json_dict(json.loads((DATA / "adversarial-12.graph.json").read_text()))
+        assert g.vertex_count == 12
+        memo = set()
+        assert decide_contractible(g, memo=memo) is None
+        assert len(memo) == 53_965
+
     def test_search_leaves_no_reference_cycle(self):
         # Garbage left in a reference cycle would keep each call's memo
         # alive until the cyclic collector runs.

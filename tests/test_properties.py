@@ -10,6 +10,7 @@ from conftest import (
     certifiable_multipartite_graphs,
     graphs,
     multipartite_graphs,
+    reference_decide,
     reference_verify,
     relabelled,
 )
@@ -258,6 +259,41 @@ def test_children_rejected_by_the_search_are_no(g):
         assert killed == (contraction._viability(child) is None)
         if killed:
             assert not brute_force_oracle(child, max_total_multiplicity=45)
+
+
+# Ids in which the merged ids m<k> are taken, skipped or sort between live ids.
+_SEARCH_IDS = ("a", "m1", "m2", "m3", "m10", "m2x", "v1", "v2", "v3", "v4", "v5", "z")
+
+
+@st.composite
+def search_inputs(draw):
+    """Graphs on 2..10 vertices, most of which pass the entry check and
+    many of which backtrack: weights 1..3 and multiplicities 1..3 with an
+    occasional 0, on ids drawn from ``_SEARCH_IDS`` in a random order."""
+    n = draw(st.integers(2, 10))
+    names = draw(st.permutations(_SEARCH_IDS))[:n]
+    weights = {v: draw(st.sampled_from((2, 1, 3))) for v in names}
+    edges = [(u, v, draw(st.sampled_from((1, 2, 3, 0)))) for u, v in itertools.combinations(names, 2)]
+    return WeightedMultigraph(weights, edges)
+
+
+@given(search_inputs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_search_matches_the_reference_search(g):
+    # The search merges in place; the reference builds every child graph.
+    memo, reference_memo = set(), set()
+    assert decide_contractible(g, memo=memo) == reference_decide(g, reference_memo)
+    assert memo == reference_memo
+
+
+@given(st.lists(search_inputs(), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_search_matches_the_reference_with_a_shared_memo(gs):
+    # Each graph is decided twice, the second time against its own failures.
+    memo, reference_memo = set(), set()
+    for g in gs + gs:
+        assert decide_contractible(g, memo=memo) == reference_decide(g, reference_memo)
+    assert memo == reference_memo
 
 
 @given(graphs(max_vertices=6))
