@@ -25,12 +25,13 @@ state that holds a vertex that can never be merged (weight <= 0, degree
 <= 3, or more edges to each neighbour than its weight and degree allow)
 or fewer than two vertices of weight >= 2, the two anchors that the last
 step needs.  It works on one mutable copy of the input's rows, weights
-and degrees: it judges each child before merging its pair, merges the
-pair in place, which changes only the rows of the pair and its neighbours
-and only the merged vertex's degree, and undoes the merge exactly on
-backtrack.  It keys its failure memo by the partition of the input's
-vertices into merged groups, which fixes the state exactly and costs no
-canonical form.
+and degrees: it judges each child in the one pass that builds the
+merged row, merges the pair in place, which changes only the rows of the
+pair and its neighbours and only the merged vertex's degree, and undoes
+the merge exactly on backtrack.  It keys its failure memo by the
+partition of the input's vertices into merged groups, as one int of 4
+bits per vertex, which fixes the state exactly and costs no canonical
+form.
 
 Verification and absorption replay their steps without copying or
 rewriting the graph: they keep, for each current vertex, the group of
@@ -357,6 +358,10 @@ def verify_certificate(cert: ContractionCertificate, require_singleton: bool = T
 
 # ------------------------------------------------------------------ search
 
+# Vertex ``i`` alone, as a group of ``_SearchState``: its lowest index, and
+# the int with a 1 in slot ``i`` of the partition key.
+_ALONE = tuple((i, 16**i) for i in range(DEFAULT_MAX_VERTICES))
+
 
 def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> ContractionCertificate | None:
     """Exhaustive search for an admissible contraction sequence.
@@ -389,13 +394,14 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     an *anchor*, a vertex of the state of weight ``>= 2``, and the two are
     disjoint: a state with fewer than two anchors is NO.
 
-    The search checks both rules on entry.  Then every vertex of every
-    state searched has weight ``>= 1`` and degree ``>= 4``, so the kernel
-    is asked with an empty set of low-degree vertices.  The search works on
-    one :class:`_SearchState`, whose degrees are summed once, from the
-    input, and which a merge changes in place and an undo restores.
-    :func:`_merge_kills` judges a child before its pair is merged, from
-    the rows of the pair: merging ``u`` and ``v`` (merged weight ``>= 2``)
+    The search checks both rules on entry, in the same pass that sums the
+    degrees it then keeps.  Then every vertex of every state searched has
+    weight ``>= 1`` and degree ``>= 4``, so the kernel is asked with an
+    empty set of low-degree vertices.  The search works on one
+    :class:`_SearchState`, which a merge changes in place and an undo
+    restores.  :func:`_child_row` judges a child before its pair is
+    merged, from the rows of the pair, and returns the merged row that the
+    merge then takes: merging ``u`` and ``v`` (merged weight ``>= 2``)
     removes one anchor iff both weigh ``>= 2``, and only the rows of the
     merged vertex and its neighbours change, so only they are checked; a
     neighbour's row is scanned only when its edges to the merged vertex
@@ -403,13 +409,18 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
 
     *Memo.*  A state reached from ``g`` is fixed by the partition of
     ``g``'s vertices into merged groups, since weights and multiplicities
-    add up over groups.  Failed states are recorded as ``(g, partition)``
-    (each group a bit mask over ``g.vertices``) in ``memo``, which may be
-    shared across calls, also for different graphs, to reuse failure
-    knowledge; a state the rules reject is not recorded.  A child found in
-    the memo is skipped before it is judged: most children of a long NO
-    search were reached and failed before.  The rules and the memo cut
-    only failing subtrees, so the certificate depends on neither.
+    add up over groups.  The partition is one int below ``16 ** n`` for
+    ``n <= 12`` vertices: its 4-bit slot ``i``, hex digit ``i`` from the
+    right, holds the index in ``g.vertices`` of the lowest vertex in
+    vertex ``i``'s group, so every vertex alone reads ``0x...3210``.
+    Merging groups whose lowest indices are ``a < b`` subtracts ``b - a``
+    times the int with a 1 in the slot of each member of ``b``'s group.
+    Failed states are recorded as ``(g, partition)`` in ``memo``, which
+    may be shared across calls, also for different graphs, to reuse
+    failure knowledge; a state the rules reject is not recorded.  A child
+    found in the memo is skipped before it is judged: most children of a
+    long NO search were reached and failed before.  The rules and the memo
+    cut only failing subtrees, so the certificate depends on neither.
     """
     if g.vertex_count > DEFAULT_MAX_VERTICES:
         raise BoundExceededError(
@@ -419,12 +430,13 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
         return None
     if g.vertex_count == 1:
         return ContractionCertificate(g, ())
-    anchors = _viability(g)
-    if anchors is None:
+    viable = _viability(g)
+    if viable is None:
         return None
+    deg, anchors = viable
     failed = memo if memo is not None else set()
-    state = _SearchState(g, failed)
-    key = frozenset(state.groups.values())
+    state = _SearchState(g, failed, deg)
+    key = int("ba9876543210"[-g.vertex_count:], 16)  # every vertex alone
     if (g, key) in failed:
         return None
     steps = _search(state, key, 1, anchors)
@@ -433,49 +445,50 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     return ContractionCertificate(g, tuple(steps))
 
 
-def _viability(h: WeightedMultigraph) -> int | None:
+def _viability(h: WeightedMultigraph) -> tuple[dict[str, int], int] | None:
     """``None`` when a state of two or more vertices is NO by the dead
     endpoint or the two-anchor rule of :func:`decide_contractible`;
-    otherwise its number of anchors."""
+    otherwise its degrees, as a new dict, and its number of anchors."""
     wt = h._weights
+    deg = {}
+    anchors = 0
     for x, row in h._adj.items():
         w = wt[x]
-        d = sum(row.values())
-        bound = d + w - 4
-        if w <= 0 or d <= 3 or all(m > bound for m in row.values()):
+        d = deg[x] = sum(row.values())
+        if w <= 0 or d <= 3 or min(row.values()) > d + w - 4:
             return None
-    anchors = sum(w >= 2 for w in wt.values())
-    return anchors if anchors >= 2 else None
+        anchors += w >= 2
+    return (deg, anchors) if anchors >= 2 else None
 
 
-def _merge_kills(
+def _child_row(
     adj: dict[str, dict[str, int]], wt: dict[str, int], deg: dict[str, int], anchors: int, u: str, v: str, mult: int
-) -> bool:
-    """Whether :func:`_viability` rejects the child of merging the pair
-    ``u``, ``v`` (joined by ``mult`` edges) of a state of three or more
-    vertices that it accepts with ``anchors``, where ``adj``, ``wt`` and
-    ``deg`` hold the state's rows, weights and degrees; decided before the
-    pair is merged."""
+) -> dict[str, int] | None:
+    """The merged vertex's row in the child of merging the pair ``u``,
+    ``v`` (joined by ``mult`` edges) of a state of three or more vertices
+    that :func:`_viability` accepts with ``anchors``, or ``None`` when
+    :func:`_viability` rejects that child; ``adj``, ``wt`` and ``deg`` hold
+    the state's rows, weights and degrees.  Decided before the pair is
+    merged, and the row is a new dict."""
     if anchors - (wt[u] >= 2 and wt[v] >= 2) < 2:
-        return True
+        return None
     d = deg[u] + deg[v] - 2 * mult
     if d <= 3:
-        return True
-    bound = d + wt[u] + wt[v] - 4
-    row_u, row_v = adj[u], adj[v]
-    merged_usable = False
-    for x in row_u.keys() | row_v.keys():
-        if x == u or x == v:
-            continue
-        m = row_u.get(x, 0) + row_v.get(x, 0)
-        if m <= bound:
-            merged_usable = True
+        return None
+    row = adj[u].copy()
+    del row[v]
+    for x, k in adj[v].items():
+        if x != u:
+            row[x] = row.get(x, 0) + k
+    if min(row.values()) > d + wt[u] + wt[v] - 4:
+        return None
+    for x, m in row.items():
         # x swaps its neighbours u, v for the merged vertex, joined by m
         # edges; it dies if that leaves it no usable neighbour.
         bound_x = deg[x] + wt[x] - 4
         if m > bound_x and all(k > bound_x for y, k in adj[x].items() if y != u and y != v):
-            return True
-    return not merged_usable
+            return None
+    return row
 
 
 class _SearchState:
@@ -483,36 +496,33 @@ class _SearchState:
     split again exactly on backtrack.
 
     ``rows``, ``wt`` and ``deg`` hold the adjacency rows, weights and
-    degrees of the current vertices, copied once from ``g``, so ``g`` is
-    never changed.  ``groups`` maps each current vertex to its bit mask
-    over ``g.vertices`` and ``live`` lists the current vertices in sorted
-    order.  A merge sums the pair's rows into the merged row, swaps each
+    degrees of the current vertices: rows and weights copied once from
+    ``g``, so ``g`` is never changed, and the degrees :func:`_viability`
+    summed.  ``groups`` maps each current vertex to its group's lowest
+    index in ``g.vertices`` and the int with a 1 in each member's slot of
+    the partition key; ``live`` lists the current vertices in sorted
+    order.  A merge takes its row from :func:`_child_row`, swaps each
     neighbour's entries for the pair for one entry for the merged vertex,
     and changes no degree but the merged vertex's (see :class:`_Replay`).
     """
 
     __slots__ = ("g", "failed", "rows", "wt", "deg", "groups", "live")
 
-    def __init__(self, g: WeightedMultigraph, failed: set):
+    def __init__(self, g: WeightedMultigraph, failed: set, deg: dict[str, int]):
         self.g = g
         self.failed = failed
         self.rows = {x: row.copy() for x, row in g._adj.items()}
         self.wt = dict(g._weights)
-        self.deg = {x: sum(row.values()) for x, row in g._adj.items()}
-        self.groups = {x: 1 << i for i, x in enumerate(g._vertices)}
+        self.deg = deg
+        self.groups = dict(zip(g._vertices, _ALONE))
         self.live = list(g._vertices)
 
-    def merge(self, u: str, v: str, merged: str, mult: int) -> tuple:
+    def merge(self, u: str, v: str, merged: str, mult: int, row: dict[str, int]) -> tuple:
         """Contract the current vertices ``u``, ``v``, joined by ``mult``
-        edges, into the new vertex ``merged``; returns what :meth:`undo`
-        needs to split it again."""
+        edges, into the new vertex ``merged`` with the row ``row``; returns
+        what :meth:`undo` needs to split it again."""
         rows, wt, deg, groups, live = self.rows, self.wt, self.deg, self.groups, self.live
         row_u, row_v = rows.pop(u), rows.pop(v)
-        row = row_u.copy()
-        del row[v]
-        for x, k in row_v.items():
-            if x != u:
-                row[x] = row.get(x, 0) + k
         for x, k in row.items():
             nbrs = rows[x]
             nbrs.pop(u, None)
@@ -521,19 +531,19 @@ class _SearchState:
         rows[merged] = row
         wt_u, wt_v = wt.pop(u), wt.pop(v)
         deg_u, deg_v = deg.pop(u), deg.pop(v)
-        mask_u, mask_v = groups.pop(u), groups.pop(v)
+        group_u, group_v = groups.pop(u), groups.pop(v)
         wt[merged] = wt_u + wt_v
         deg[merged] = deg_u + deg_v - 2 * mult
-        groups[merged] = mask_u | mask_v
+        groups[merged] = (min(group_u[0], group_v[0]), group_u[1] + group_v[1])
         live.remove(u)
         live.remove(v)
         insort(live, merged)
-        return u, v, merged, row_u, row_v, wt_u, wt_v, deg_u, deg_v, mask_u, mask_v
+        return u, v, merged, row_u, row_v, wt_u, wt_v, deg_u, deg_v, group_u, group_v
 
     def undo(self, saved: tuple) -> None:
         """Split the vertex made by the :meth:`merge` that returned ``saved``,
         the last merge not yet undone."""
-        u, v, merged, row_u, row_v, wt_u, wt_v, deg_u, deg_v, mask_u, mask_v = saved
+        u, v, merged, row_u, row_v, wt_u, wt_v, deg_u, deg_v, group_u, group_v = saved
         rows, wt, deg, groups, live = self.rows, self.wt, self.deg, self.groups, self.live
         for x in rows.pop(merged):
             nbrs = rows[x]
@@ -546,18 +556,18 @@ class _SearchState:
         del wt[merged], deg[merged], groups[merged]
         wt[u], wt[v] = wt_u, wt_v
         deg[u], deg[v] = deg_u, deg_v
-        groups[u], groups[v] = mask_u, mask_v
+        groups[u], groups[v] = group_u, group_v
         live.remove(merged)
         insort(live, u)
         insort(live, v)
 
 
-def _search(s: _SearchState, key: frozenset, name_index: int, anchors: int) -> list[ContractionStep] | None:
+def _search(s: _SearchState, key: int, name_index: int, anchors: int) -> list[ContractionStep] | None:
     """The steps contracting the current state of ``s`` to a point, or
     ``None`` after recording it in ``s.failed`` and leaving ``s`` as it
-    was; ``key`` is the state's partition of ``g.vertices`` and the state,
-    which passes both rules of :func:`decide_contractible`, has ``anchors``
-    anchors.  A state is left merged only on success."""
+    was; ``key`` is the state's partition key and the state, which passes
+    both rules of :func:`decide_contractible`, has ``anchors`` anchors.  A
+    state is left merged only on success."""
     g, failed, rows, wt, deg, groups, live = s.g, s.failed, s.rows, s.wt, s.deg, s.groups, s.live
     k = _fresh_index(wt, name_index)
     merged = f"m{k}"
@@ -579,11 +589,11 @@ def _search(s: _SearchState, key: frozenset, name_index: int, anchors: int) -> l
                 continue
             if len(live) == 2:
                 return [ContractionStep(pair, l, merged)]
-            mask_u, mask_v = groups[u], groups[v]
-            child = key.difference((mask_u, mask_v)).union((mask_u | mask_v,))
-            if (g, child) in failed or _merge_kills(rows, wt, deg, anchors, u, v, mult):
+            (a, slots_a), (b, slots_b) = groups[u], groups[v]
+            child = key - (b - a) * slots_b if a < b else key - (a - b) * slots_a
+            if (g, child) in failed or (row := _child_row(rows, wt, deg, anchors, u, v, mult)) is None:
                 continue
-            saved = s.merge(u, v, merged, mult)
+            saved = s.merge(u, v, merged, mult, row)
             rest = _search(s, child, k + 1, anchors - (wt_u >= 2 and wt_v >= 2))
             if rest is not None:
                 rest.insert(0, ContractionStep(pair, l, merged))

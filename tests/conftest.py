@@ -125,20 +125,34 @@ def reference_decide(g, memo=None):
     """``decide_contractible`` as a literal search that builds every child
     graph with :func:`contract` and sums each state's degrees afresh; the
     same rules, memo keys, pair order and merged ids, so it must give the
-    same certificate and leave the same memo."""
+    same certificate and leave the same memo.  Groups are bit masks over
+    ``g.vertices``, turned into the search's int key by
+    :func:`reference_partition_key`."""
     if g.vertex_count == 0:
         return None
     if g.vertex_count == 1:
         return contraction.ContractionCertificate(g, ())
-    anchors = contraction._viability(g)
-    if anchors is None:
+    viable = contraction._viability(g)
+    if viable is None:
         return None
     failed = memo if memo is not None else set()
     root = {x: 1 << i for i, x in enumerate(g.vertices)}
-    if (g, frozenset(root.values())) in failed:
+    if (g, reference_partition_key(root.values())) in failed:
         return None
-    steps = _reference_search(g, failed, g, root, 1, anchors)
+    steps = _reference_search(g, failed, g, root, 1, viable[1])
     return None if steps is None else contraction.ContractionCertificate(g, tuple(steps))
+
+
+def reference_partition_key(masks):
+    """The int that names a partition, given as bit masks over vertex
+    indices: for every vertex ``i``, bits ``4i``..``4i + 3`` hold the index
+    of the lowest vertex in its group."""
+    key = 0
+    for mask in masks:
+        members = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        for i in members:
+            key += min(members) * 16**i
+    return key
 
 
 def _reference_search(g, failed, h, groups, name_index, anchors):
@@ -155,17 +169,17 @@ def _reference_search(g, failed, h, groups, name_index, anchors):
             continue
         if h.vertex_count == 2:
             return [contraction.ContractionStep(pair, l, merged)]
-        if contraction._merge_kills(h._adj, h._weights, deg, anchors, u, v, mult):
+        if contraction._child_row(h._adj, h._weights, deg, anchors, u, v, mult) is None:
             continue
         child = {x: mask for x, mask in groups.items() if x != u and x != v}
         child[merged] = groups[u] | groups[v]
-        if (g, frozenset(child.values())) in failed:
+        if (g, reference_partition_key(child.values())) in failed:
             continue
         lost = h.weight(u) >= 2 and h.weight(v) >= 2
         rest = _reference_search(g, failed, contract(h, pair, merged), child, k + 1, anchors - lost)
         if rest is not None:
             return [contraction.ContractionStep(pair, l, merged)] + rest
-    failed.add((g, frozenset(groups.values())))
+    failed.add((g, reference_partition_key(groups.values())))
     return None
 
 

@@ -321,11 +321,14 @@ class TestDecide:
             [("v1", "v2", 2), ("v1", "v3", 2), ("v1", "v4", 1), ("v2", "v3", 2), ("v2", "v4", 1), ("v3", "v4", 2)],
         )
         assert feasible_l_range(g, "v2", "v1") == (0,)
-        deg = {x: g.degree(x) for x in g.vertices}
-        assert contraction._merge_kills(g._adj, g._weights, deg, contraction._viability(g), "v1", "v2", 2)
+        deg, anchors = contraction._viability(g)
+        assert contraction._child_row(g._adj, g._weights, deg, anchors, "v1", "v2", 2) is None
         child = contract(g, ("v1", "v2"), "m1")
         assert contraction._viability(child) is None
         assert [x for x in child.vertices if child.weight(x) + child.degree(x) - 4 < min(child._adj[x].values())] == ["v4"]
+        # Merging v1 and v4 instead is viable; the row comes back built.
+        row = contraction._child_row(g._adj, g._weights, deg, anchors, "v1", "v4", 1)
+        assert row == contract(g, ("v1", "v4"), "m1")._adj["m1"] == {"v2": 3, "v3": 4}
 
     @pytest.mark.parametrize(
         "weights, edges, contractible, failed",
@@ -367,6 +370,31 @@ class TestDecide:
         memo = set()
         assert decide_contractible(g, memo=memo) is None
         assert len(memo) == 53_965
+
+    def test_memo_entries_are_small(self):
+        # adversarial-12 without v09 and v10: a 10-vertex NO graph whose
+        # search records 2,827 failed states in about 0.1 s.  An entry is
+        # a (graph, int) tuple, the int and the set's share of its table,
+        # about 130 B; a frozenset of group masks per entry takes 650 B.
+        import tracemalloc
+
+        g = WeightedMultigraph.from_json_dict(json.loads((DATA / "adversarial-12.graph.json").read_text()))
+        keep = [x for x in g.vertices if x not in ("v09", "v10")]
+        g = WeightedMultigraph(
+            {x: g.weight(x) for x in keep}, [(u, v, m) for u, v, m in g.edge_items() if u in keep and v in keep]
+        )
+        hash(g)  # cached before tracing, so only the memo is counted
+        memo = set()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert decide_contractible(g, memo=memo) is None
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(memo) == 2_827
+        assert held <= 200 * len(memo)
+        assert all(h is g and type(key) is int and 0 <= key < 16**10 for h, key in memo)
 
     def test_search_leaves_no_reference_cycle(self):
         # Garbage left in a reference cycle would keep each call's memo

@@ -250,15 +250,18 @@ def searched_states(draw):
 def test_children_rejected_by_the_search_are_no(g):
     # The search judges a child before building it; that judgement must be
     # the entry check on the built child, and a rejected child must be NO.
-    anchors = contraction._viability(g)
-    assume(anchors is not None)
-    deg = {x: g.degree(x) for x in g.vertices}
+    viable = contraction._viability(g)
+    assume(viable is not None)
+    deg, anchors = viable
     for u, v, mult in g.edge_items():
-        child = contract(g, (u, v))
-        killed = contraction._merge_kills(g._adj, g._weights, deg, anchors, u, v, mult)
+        child = contract(g, (u, v), "m")
+        row = contraction._child_row(g._adj, g._weights, deg, anchors, u, v, mult)
+        killed = row is None
         assert killed == (contraction._viability(child) is None)
         if killed:
             assert not brute_force_oracle(child, max_total_multiplicity=45)
+        else:
+            assert row == child._adj["m"]
 
 
 # Ids in which the merged ids m<k> are taken, skipped or sort between live ids.
