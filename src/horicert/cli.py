@@ -102,15 +102,15 @@ def _certificate_document(cert: ContractionCertificate, fmt: str) -> str:
         return json.dumps(cert.to_json_dict(), indent=2)
     lines = [f"certificate with {len(cert.steps)} steps"]
     graphs = cert.replay()
-    for step, g in zip(cert.steps, graphs[1:]):
+    g = next(graphs)  # the initial graph; the loop leaves the final one
+    for step, g in zip(cert.steps, graphs):
         lines.append(
             f"  merge {step.pair[0]} + {step.pair[1]} (l={step.l}) -> {step.merged}; "
             f"{g.vertex_count} vertices left"
         )
-    final = graphs[-1]
-    if final.is_singleton():
-        v = final.vertices[0]
-        lines.append(f"  final vertex {v} with weight {final.weight(v)}")
+    if g.is_singleton():
+        v = g.vertices[0]
+        lines.append(f"  final vertex {v} with weight {g.weight(v)}")
     return "\n".join(lines)
 
 

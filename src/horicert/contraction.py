@@ -40,9 +40,12 @@ the original multiplicities between two groups.  Each pair of original
 vertices is summed by the merge that joins it and by no other, so
 ``m - 1`` steps on ``m`` vertices cost O(m^2) in total.  Absorption
 then builds its reduced graph, at most eight vertices, once through the
-public constructor.  :func:`contract`, the public one-step function used
-by :meth:`ContractionCertificate.replay`, builds the child graph whole,
-row by row in sorted order; neither the search nor verification calls it.
+public constructor.  :func:`contract`, the public one-step function, also
+builds its child through that constructor, from the parent's edges with
+the pair renamed; neither the search nor verification calls it.
+:meth:`ContractionCertificate.replay` calls it once per step and yields
+each graph before it builds the next, so printing or drawing a
+certificate holds two graphs at a time, not all of them.
 
 The rule above is encoded once, in ``_admissible``, for the search,
 verification, absorption and :func:`feasible_l_range`.  The oracle is a
@@ -57,7 +60,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .multigraph import (
     DEFAULT_MAX_VERTICES,
@@ -126,15 +129,24 @@ class ContractionCertificate:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def replay(self) -> list[WeightedMultigraph]:
-        """All intermediate graphs, starting at ``initial``."""
-        graphs = [self.initial]
+    def replay(self) -> Iterator[WeightedMultigraph]:
+        """The intermediate graphs, starting at ``initial``, one per step.
+
+        Each graph is built by :func:`contract` from the one before and
+        yielded before the next is built, so a caller that keeps none of
+        them holds at most two at a time.  Steps are applied as recorded,
+        not checked for admissibility (see :func:`verify_certificate`).
+        """
+        g = self.initial
+        yield g
         for step in self.steps:
-            graphs.append(contract(graphs[-1], step.pair, step.merged))
-        return graphs
+            g = contract(g, step.pair, step.merged)
+            yield g
 
     def final_graph(self) -> WeightedMultigraph:
-        return self.replay()[-1]
+        for g in self.replay():
+            pass
+        return g
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,8 +180,11 @@ def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = 
     The merged vertex weighs ``wt(v) + wt(w)`` and is joined to every
     bystander ``x`` by ``mult(v, x) + mult(w, x)`` edges; the pair's own
     edges vanish.  The result does not depend on any admissibility
-    parameter.  ``merged`` defaults to a fresh ``m<k>`` id.  One call
-    builds the child graph row by row in sorted order, in O(m^2) time
+    parameter.  ``merged`` defaults to a fresh ``m<k>`` id; another
+    vertex's id raises :class:`GraphError`, and so does the constructor
+    for an id that is not a string.
+    One call renames the pair to ``merged`` in ``g``'s edge list and
+    builds the child through the checking constructor, in O(m^2) time
     for ``m`` vertices; to check a list of steps, replay them on one
     ``_Replay`` instead.  The search does not call it: it merges in place
     on one ``_SearchState``.
@@ -181,39 +196,15 @@ def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = 
         merged = f"m{_fresh_index(g, 1)}"
     elif merged in g._weights and merged != v and merged != w:
         raise GraphError(f"merged id {merged!r} collides with an existing vertex")
-    old_wt, old_adj = g._weights, g._adj
-    row_v, row_w = old_adj[v], old_adj[w]
-    weights: dict[str, int] = {}
-    adj: dict[str, dict[str, int]] = {}
-    merged_row: dict[str, int] = {}
-    pending = True  # the merged vertex is not yet placed in sorted order
-    for x in g._vertices:
-        if x == v or x == w:
-            continue
-        if pending and merged < x:
-            weights[merged] = old_wt[v] + old_wt[w]
-            adj[merged] = merged_row
-            pending = False
-        weights[x] = old_wt[x]
-        m = row_v.get(x, 0) + row_w.get(x, 0)
-        if m:
-            merged_row[x] = m
-            row = {}
-            for y, k in old_adj[x].items():
-                if m and merged < y:  # m is cleared once the merged entry is placed
-                    row[merged] = m
-                    m = 0
-                if y != v and y != w:
-                    row[y] = k
-            if m:
-                row[merged] = m
-        else:
-            row = old_adj[x].copy()
-        adj[x] = row
-    if pending:
-        weights[merged] = old_wt[v] + old_wt[w]
-        adj[merged] = merged_row
-    return WeightedMultigraph._from_parts(weights, adj)
+    weights = {x: k for x, k in g._weights.items() if x != v and x != w}
+    weights[merged] = g._weights[v] + g._weights[w]
+    pair_ids = {v, w}
+    edges = (
+        (merged if a in pair_ids else a, merged if b in pair_ids else b, m)
+        for a, b, m in g.edge_items()
+        if not (a in pair_ids and b in pair_ids)
+    )
+    return WeightedMultigraph(weights, edges)
 
 
 def _admissible(

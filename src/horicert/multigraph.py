@@ -94,10 +94,10 @@ class WeightedMultigraph:
 
     @classmethod
     def _from_parts(cls, weights: dict[str, int], adj: dict[str, dict[str, int]]) -> "WeightedMultigraph":
-        # Trusted fast path, with no checks and no sorting, for the two
-        # builds from parts made in sorted order: ``arrangements.dual_graph``
-        # on the theorem path, and ``contraction.contract`` for certificate
-        # replay (the search merges in place and builds no graph).
+        # Trusted fast path, with no checks and no sorting, for its one
+        # caller, ``arrangements.dual_graph``, which builds the theorem
+        # path's largest graphs (32,640 edges at the size bound) from parts
+        # in sorted order; every other graph goes through the constructor.
         # It takes ownership of both dicts, which the caller must build as
         # the public constructor would: ``weights`` and ``adj`` with the same
         # keys in sorted order, every row symmetric, free of zeros and
@@ -209,22 +209,21 @@ class WeightedMultigraph:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "WeightedMultigraph":
-        """Parse the ``{"vertices": [...], "edges": [...]}`` wire format."""
+        """Parse the ``{"vertices": [...], "edges": [...]}`` wire format.
+
+        Only unpacks the document: a missing key, a value of the wrong
+        shape, an unhashable id or a repeated id raises :class:`GraphError`
+        here, and the constructor checks ids, weights, endpoints and
+        multiplicities as it does for every caller.
+        """
         try:
             vertices = data["vertices"]
             edges = data.get("edges", [])
             items = [(item["id"], item["wt"]) for item in vertices]
             edge_entries = [(e["u"], e["v"], e["mult"]) for e in edges]
+            weights = dict(items)
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph document: {exc}") from None
-        for v, _ in items:
-            if not isinstance(v, str):
-                raise GraphError(f"malformed graph document: vertex id must be a string, got {v!r}")
-        for u, v, _ in edge_entries:
-            for x in (u, v):
-                if not isinstance(x, str):
-                    raise GraphError(f"malformed graph document: edge endpoint must be a string, got {x!r}")
-        weights = dict(items)
         if len(weights) != len(items):
             raise GraphError("duplicate vertex id in graph document")
         return cls(weights, edge_entries)

@@ -76,6 +76,10 @@ class TestContract:
         with pytest.raises(GraphError):
             contract(g, ("v1", "v2"), "v3")
 
+    def test_merged_id_must_be_a_string(self):
+        with pytest.raises(GraphError, match="vertex id must be a string, got 5"):
+            contract(builtin("K1"), ("v1", "v2"), 5)
+
     def test_merged_may_reuse_an_endpoint(self):
         g = contract(builtin("example-G"), ("v1", "v2"), "v1")
         assert g.weight("v1") == 6
@@ -127,6 +131,27 @@ class TestVerify:
             end = cert.final_graph()
             assert end.is_singleton()
             assert end.weight(end.vertices[0]) == final
+
+    def test_replay_holds_one_graph_at_a_time(self):
+        # The walk may hold the graph just yielded and the one being built,
+        # not all 128: a list of them takes about 35 times one graph.
+        import tracemalloc
+
+        cert = contract_multipartite(dual_graph(general_lines(128)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            one = WeightedMultigraph(dict(cert.initial._weights), cert.initial.edge_items())
+            size = tracemalloc.get_traced_memory()[0] - before
+            del one
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            counts = [g.vertex_count for g in cert.replay()]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert counts == list(range(128, 0, -1))
+        assert peak < 3 * size
 
     def test_first_l_corrupted(self):
         cert = load_certificate("K1")

@@ -370,6 +370,28 @@ class TestFormats:
                 {"vertices": [{"id": "a", "wt": 1}, {"id": "a", "wt": 2}], "edges": []}
             )
 
+    @pytest.mark.parametrize(
+        "vertices, edges, error, message",
+        [
+            # the constructor's checks, met through the document
+            ([{"id": 5, "wt": 1}], [], GraphError, "vertex id must be a string, got 5"),
+            ([{"id": "a", "wt": 1}, {"id": "b", "wt": 1}], [{"u": "a", "v": 5, "mult": 1}], UnknownVertexError, "edge endpoint 5 is not a vertex"),
+            (
+                [{"id": "a", "wt": 1}, {"id": "b", "wt": 1}],
+                [{"u": ["a"], "v": "b", "mult": 1}],
+                GraphError,
+                "malformed edge entry (['a'], 'b', 1): unhashable type: 'list'",
+            ),
+            # an id that cannot key the weight map fails while unpacking
+            ([{"id": ["a"], "wt": 1}], [], GraphError, "malformed graph document: unhashable type: 'list'"),
+        ],
+    )
+    def test_parse_error_messages(self, vertices, edges, error, message):
+        with pytest.raises(error) as err:
+            WeightedMultigraph.from_json_dict({"vertices": vertices, "edges": edges})
+        assert type(err.value) is error
+        assert str(err.value) == message
+
     def test_dot_has_one_arc_per_edge(self):
         g = builtin("example-G")
         dot = g.to_dot("example-G")
