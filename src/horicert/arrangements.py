@@ -4,7 +4,10 @@ An arrangement is a count of components in each of three
 base-point-free roles: lines on the plane, fibers and sections on a ruled
 surface.  A component's class is its role's (``Surface.line_class()``,
 ``fiber_class()`` or ``section_class()``), so all class arithmetic is done
-once per role or pair of roles, not per component.  The components are
+once per role or pair of roles, not per component.  Each role's class is
+built once, when the arrangement is checked, and kept with it:
+``role_classes()`` hands out a copy of what was kept, and the dual graph,
+the total class and the node count all read it.  The components are
 assumed to be chosen generally (pairwise transversal, no triple points);
 that assumption is recorded in every report, not verified, and it is what
 makes the dual graph well defined: one vertex per component weighted by
@@ -53,7 +56,10 @@ class Arrangement:
 
     Only the three roles are constructible, so transversality and
     base-point-freeness rest on the recorded general-position assumption
-    rather than on unverifiable claims about equations.
+    rather than on unverifiable claims about equations.  The check builds
+    each counted role's class and keeps it for :meth:`role_classes`; the
+    kept classes are not fields, so equality and hashing see only
+    ``surface`` and ``counts``.
     """
 
     surface: Surface
@@ -62,10 +68,14 @@ class Arrangement:
     def __post_init__(self):
         if len(dict(self.counts)) != len(self.counts):
             raise ValueError("each role may be counted only once")
+        classes = {}
         for role, n in self.counts:
-            role.cls(self.surface)  # a role on the wrong kind of surface raises here
+            cls = role.cls(self.surface)  # a role on the wrong kind of surface raises here
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise ValueError(f"count of role {role.value!r} must be a non-negative integer, got {n!r}")
+            if n:
+                classes[role] = (cls, n)
+        object.__setattr__(self, "_role_classes", classes)
         if self.size < 1:
             raise ValueError("an arrangement needs at least one component")
         if self.size > MAX_COMPONENTS:
@@ -77,8 +87,10 @@ class Arrangement:
 
     def role_classes(self) -> dict[Role, tuple[DivClass, int]]:
         """Each role with at least one component, in the order of
-        ``counts``, with its class and its number of components."""
-        return {role: (role.cls(self.surface), n) for role, n in self.counts if n}
+        ``counts``, with its class and its number of components: a new
+        dict of the classes built when the arrangement was checked, so a
+        caller that changes it changes nothing kept."""
+        return dict(self._role_classes)
 
     def components(self) -> list[tuple[str, Role]]:
         """``(id, role)`` of every component, in the order of ``counts``:
@@ -229,7 +241,7 @@ def check_arrangement_smoothing(arr: Arrangement) -> tuple[Obligation, contracti
 
     minus_k_total = graph.total_weight()
     nodes = pairwise_nodes(arr)
-    sing = contracted_singularities(arr)
+    sing = nodes - (arr.size - 1)  # contracted_singularities(arr), nodes counted once
     smooth_deg = check(
         "lemma.hypsmooth.minus_k_ge_8",
         minus_k_total >= 8,

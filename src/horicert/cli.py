@@ -45,6 +45,16 @@ class _Parser(argparse.ArgumentParser):
 MAX_INPUT_BYTES = 8 * 2**20
 
 
+def _parse_json(text: str | bytes):
+    """``json.loads``, with nesting deeper than the interpreter's recursion
+    limit (about a thousand levels; no valid document nests more than four)
+    refused as malformed input rather than escaping as ``RecursionError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise GraphError("malformed JSON document: nested too deeply") from None
+
+
 def _read_json(path: str):
     if path == "-":
         data = sys.stdin.buffer.read(MAX_INPUT_BYTES + 1)
@@ -53,7 +63,7 @@ def _read_json(path: str):
             data = f.read(MAX_INPUT_BYTES + 1)
     if len(data) > MAX_INPUT_BYTES:
         raise BoundExceededError(f"input document limited to {MAX_INPUT_BYTES} bytes")
-    return json.loads(data.decode("utf-8"))
+    return _parse_json(data.decode("utf-8"))
 
 
 def _read_graph(path: str) -> WeightedMultigraph:
@@ -76,7 +86,7 @@ def _emit(document: str) -> None:
 
 def _class_from_args(args) -> DivClass:
     if args.json:
-        return DivClass.from_json_dict(json.loads(args.json))
+        return DivClass.from_json_dict(_parse_json(args.json))
     if args.kind == "p2":
         if args.d is None:
             raise GraphError("p2 classes need --d")

@@ -52,11 +52,15 @@ verification, absorption and :func:`feasible_l_range`.  The oracle is a
 second, literal encoding that shares no code with it or with
 :func:`contract`, so it can catch a fault in either.  The seed
 certificates ``K1``..``K4`` and their graphs live only as JSON under
-``fixtures/``.
+``fixtures/``.  :func:`lift_certificate` verifies a certificate object
+once while it lives; the fixtures are parsed once per process, so each
+seed is verified once per process, and every certificate
+:func:`contract_multipartite` builds is still verified in full.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import insort
 from dataclasses import dataclass
 from itertools import repeat
@@ -181,8 +185,8 @@ def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = 
     bystander ``x`` by ``mult(v, x) + mult(w, x)`` edges; the pair's own
     edges vanish.  The result does not depend on any admissibility
     parameter.  ``merged`` defaults to a fresh ``m<k>`` id; another
-    vertex's id raises :class:`GraphError`, and so does the constructor
-    for an id that is not a string.
+    vertex's id raises :class:`GraphError`, and so does an id that is not
+    a string.
     One call renames the pair to ``merged`` in ``g``'s edge list and
     builds the child through the checking constructor, in O(m^2) time
     for ``m`` vertices; to check a list of steps, replay them on one
@@ -194,6 +198,8 @@ def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = 
         raise NotAdjacentError(f"vertices {v!r} and {w!r} are not adjacent")
     if merged is None:
         merged = f"m{_fresh_index(g, 1)}"
+    elif not isinstance(merged, str):  # the constructor's message, before an unhashable id meets a dict
+        raise GraphError(f"vertex id must be a string, got {merged!r}")
     elif merged in g._weights and merged != v and merged != w:
         raise GraphError(f"merged id {merged!r} collides with an existing vertex")
     weights = {x: k for x, k in g._weights.items() if x != v and x != w}
@@ -654,6 +660,9 @@ def brute_force_oracle(g: WeightedMultigraph, max_total_multiplicity: int = 12) 
 
 # ------------------------------------------------------------------ lifting
 
+# The certificates lift_certificate has verified, by identity, while they live.
+_VERIFIED: weakref.WeakValueDictionary[int, ContractionCertificate] = weakref.WeakValueDictionary()
+
 
 def lift_certificate(
     cert: ContractionCertificate,
@@ -667,11 +676,21 @@ def lift_certificate(
     the same ``l`` values is admissible in ``g``: weights and
     multiplicities only ever grow under the embedding, and they keep
     growing step by step because contraction adds them up.
+
+    ``cert`` is verified the first time this function sees that object,
+    and not again while it lives: a certificate is immutable, so a second
+    verification could only give the same answer.  So a seed that
+    :func:`contract_multipartite` lifts on every call, parsed once per
+    process by :func:`horicert.fixtures.load_certificate`, is verified
+    once per process; an equal copy is another object and is verified on
+    its own.
     """
     if not is_spanning_submultigraph(cert.initial, g, embedding):
         raise NotSpanningError("embedding does not exhibit a spanning submultigraph")
-    if not verify_certificate(cert):
-        raise GraphError("certificate does not verify for its own initial graph")
+    if _VERIFIED.get(id(cert)) is not cert:
+        if not verify_certificate(cert):
+            raise GraphError("certificate does not verify for its own initial graph")
+        _VERIFIED[id(cert)] = cert
     phi = dict(embedding)
     live = set(g.vertices)
     out = []
@@ -760,7 +779,9 @@ def contract_multipartite(g: WeightedMultigraph) -> ContractionCertificate:
     vertices so that one of the seed graphs ``K1``..``K4`` spans the
     absorbed graph, contracts everything else into the chosen set with
     ``l = 0`` steps, and finishes by lifting the seed's certificate along
-    the spanning embedding.  Five shapes cover all class counts:
+    the spanning embedding.  The seed is verified by its first lift in the
+    process; the whole certificate built here is verified on every call.
+    Five shapes cover all class counts:
 
     * five or more classes: one vertex from each of five classes (``K1``);
     * four classes: 1+1+2+2 representatives (``K2``);

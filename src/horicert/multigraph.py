@@ -120,25 +120,31 @@ class WeightedMultigraph:
     def vertex_count(self) -> int:
         return len(self._weights)
 
+    # A lookup of an unhashable id raises TypeError; such an id is never a
+    # vertex, so membership is false and the accessors report it as unknown.
+
     def __contains__(self, v: str) -> bool:
-        return v in self._weights
+        try:
+            return v in self._weights
+        except TypeError:
+            return False
 
     def weight(self, v: str) -> int:
         try:
             return self._weights[v]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def _row(self, v: str) -> dict[str, int]:
         try:
             return self._adj[v]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def multiplicity(self, u: str, v: str) -> int:
         """Number of edges joining ``u`` and ``v`` (0 when non-adjacent or equal)."""
         nbrs = self._row(u)
-        if v not in self._weights:
+        if v not in self:
             raise UnknownVertexError(f"unknown vertex {v!r}")
         return nbrs.get(v, 0)
 

@@ -135,10 +135,12 @@ def _decide_yes(surface: Surface, half: DivClass, full: DivClass, arr: Arrangeme
     bounds = check_degeneration_bounds(surface, half, full)
     smoothing, cert = check_arrangement_smoothing(arr)
     cover = check_cyclic_cover_setup(surface, half, full, 2)
+    # The cover check computed the half class's genus; attach that value.
+    genus = next(n for n in cover.children if n.name == "lemma.finaldef.curve_genus_ge_2")
     chern = double_cover_chern(surface, half)
     attachments = {
         "chern": chern.to_json_dict(),
-        "half_genus": adjunction_genus(half),
+        "half_genus": dict(genus.values)["genus"],
         "horikawa_case": chern.horikawa_case(),
     }
     if cert is not None:

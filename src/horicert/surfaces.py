@@ -27,6 +27,8 @@ class Surface:
     def __post_init__(self):
         if self.kind not in ("P2", "FN"):
             raise ValueError(f"unknown surface kind {self.kind!r}")
+        if not isinstance(self.N, int) or isinstance(self.N, bool):
+            raise ValueError(f"Hirzebruch parameter must be an integer, got {self.N!r}")
         if self.kind == "P2" and self.N != 0:
             raise ValueError("the plane takes no ruling parameter")
         if self.N < 0:
@@ -45,26 +47,29 @@ class Surface:
             raise ValueError(f"coefficients must be integers, got {coeffs!r}")
         return DivClass(self, tuple(coeffs))
 
+    # The fixed classes below are literals, so they skip ``div``'s checks,
+    # which are for coefficients from outside.
+
     def line_class(self) -> "DivClass":
         if not self.is_plane:
             raise SurfaceMismatchError("line class lives on the plane")
-        return self.div(1)
+        return DivClass(self, (1,))
 
     def fiber_class(self) -> "DivClass":
         if self.is_plane:
             raise SurfaceMismatchError("fiber class lives on a ruled surface")
-        return self.div(1, 0)
+        return DivClass(self, (1, 0))
 
     def section_class(self) -> "DivClass":
         if self.is_plane:
             raise SurfaceMismatchError("section class lives on a ruled surface")
-        return self.div(0, 1)
+        return DivClass(self, (0, 1))
 
     def negative_section_class(self) -> "DivClass":
         """The class ``T - N*F`` of the section with self-intersection ``-N``."""
         if self.is_plane:
             raise SurfaceMismatchError("negative section lives on a ruled surface")
-        return self.div(-self.N, 1)
+        return DivClass(self, (-self.N, 1))
 
     def to_json_dict(self) -> dict:
         if self.is_plane:
@@ -129,7 +134,8 @@ class DivClass:
         return self.coeffs[1]
 
     def _same_surface(self, other: "DivClass") -> None:
-        if self.surface != other.surface:
+        # Classes of one decision share one surface object: identity first.
+        if self.surface is not other.surface and self.surface != other.surface:
             raise SurfaceMismatchError(f"classes on {self.surface} and {other.surface} do not mix")
 
     def __add__(self, other: "DivClass") -> "DivClass":
@@ -188,8 +194,8 @@ def canonical_class(surface: Surface) -> DivClass:
     and sections are rational, and ``-K.H = 3`` for a line.
     """
     if surface.is_plane:
-        return surface.div(-3)
-    return surface.div(surface.N - 2, -2)
+        return DivClass(surface, (-3,))
+    return DivClass(surface, (surface.N - 2, -2))
 
 
 def adjunction_genus(cls: DivClass) -> int:

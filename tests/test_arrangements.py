@@ -52,6 +52,18 @@ class TestBuilders:
             Role.SECTION: (s.div(0, 1), 4),
         }
 
+    def test_stored_role_classes_cannot_be_corrupted(self):
+        arr = fibers_and_sections(2, 3, 4)
+        expected, graph = arr.role_classes(), dual_graph(arr)
+        handed_out = arr.role_classes()
+        handed_out[Role.FIBER] = (hirzebruch(2).div(5, 5), 9)
+        del handed_out[Role.SECTION]
+        assert arr.role_classes() == expected
+        assert dual_graph(arr) == graph
+        assert total_class(arr) == hirzebruch(2).div(3, 4)
+        # the kept classes are not fields: equality and hashing see surface and counts only
+        assert arr == fibers_and_sections(2, 3, 4) and hash(arr) == hash(fibers_and_sections(2, 3, 4))
+
     def test_components_are_named_per_role(self):
         assert fibers_and_sections(1, 2, 3).components() == [
             ("F1", Role.FIBER), ("F2", Role.FIBER),
@@ -298,6 +310,18 @@ class TestSmoothingCheck:
         by_name = {n.name: n for n in node.walk()}
         assert not by_name["lemma.hypsmooth.minus_k_ge_8"].passed
         assert not by_name["lemma.hypsmooth.sing_ge_4"].passed
+
+    @pytest.mark.parametrize(
+        "arr",
+        [general_lines(5), general_lines(9), fibers_and_sections(0, 4, 4), fibers_and_sections(3, 2, 7),
+         fibers_and_sections(0, 1, 2), fibers_and_sections(5, 0, 6)],
+        ids=lambda arr: "-".join([str(arr.surface)] + [f"{role.value}{n}" for role, n in arr.counts]),
+    )
+    def test_node_counts_are_the_public_ones(self, arr):
+        node, _ = check_arrangement_smoothing(arr)
+        values = dict(next(n for n in node.walk() if n.name == "lemma.hypsmooth.sing_ge_4").values)
+        assert values["pairwise_nodes"] == pairwise_nodes(arr)
+        assert values["singular_points"] == contracted_singularities(arr)
 
     def test_assumption_recorded(self):
         node, _ = check_arrangement_smoothing(general_lines(5))

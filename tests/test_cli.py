@@ -329,6 +329,36 @@ class TestInputLimit:
         assert invoke(capsys, *argv, "-") == (3, "", self.REFUSED)
 
 
+class TestDeepNesting:
+    """A document nested deeper than the parser's recursion limit is
+    malformed input: exit 3 and one line, never a ``RecursionError``."""
+
+    DEEP = "[" * 100_000  # 100 KB, far under MAX_INPUT_BYTES
+    ERROR = "horicert: error: malformed JSON document: nested too deeply\n"
+
+    @pytest.mark.parametrize("argv", [("cert-verify",), ("contract-decide", "--graph")])
+    def test_document_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        assert invoke(capsys, *argv, str(path)) == (3, "", self.ERROR)
+
+    @pytest.mark.parametrize("argv", [("cert-verify",), ("contract-decide", "--graph")])
+    def test_stdin(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(self.DEEP.encode()), encoding="utf-8"))
+        assert invoke(capsys, *argv, "-") == (3, "", self.ERROR)
+
+    @pytest.mark.parametrize("command", ["chern", "genus"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_class_literal(self, capsys, command, fmt):
+        deep = '{"class": ' * 100_000
+        assert invoke(capsys, command, "--json", deep, "--format", fmt) == (3, "", self.ERROR)
+
+    def test_shallow_nesting_still_parses(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(fixtures.load_certificate("K4").to_json_dict()))
+        assert invoke(capsys, "cert-verify", str(path)) == (0, "valid\n", "")
+
+
 class TestChermAndGenus:
     def test_chern_text(self, capsys):
         code, out, _ = invoke(capsys, "chern", "p2", "--d", "5")

@@ -80,6 +80,13 @@ class TestContract:
         with pytest.raises(GraphError, match="vertex id must be a string, got 5"):
             contract(builtin("K1"), ("v1", "v2"), 5)
 
+    def test_unhashable_ids_raise_graph_error(self):
+        with pytest.raises(GraphError, match=r"vertex id must be a string, got \['x'\]"):
+            contract(builtin("K1"), ("v1", "v2"), ["x"])
+        for pair in ((["v1"], "v2"), ("v1", ["v2"])):
+            with pytest.raises(UnknownVertexError, match="unknown vertex"):
+                contract(builtin("K1"), pair)
+
     def test_merged_may_reuse_an_endpoint(self):
         g = contract(builtin("example-G"), ("v1", "v2"), "v1")
         assert g.weight("v1") == 6
@@ -539,6 +546,38 @@ class TestLift:
         bad = ContractionCertificate(cert.initial, cert.steps[:-1])
         with pytest.raises(GraphError):
             lift_certificate(bad, cert.initial, {v: v for v in cert.initial.vertices})
+
+    def test_copy_of_a_verified_seed_with_a_bad_l_is_rejected(self):
+        seed = load_certificate("K1")
+        identity = {v: v for v in seed.initial.vertices}
+        lift_certificate(seed, seed.initial, identity)  # the seed itself is verified by now
+        *head, last = seed.steps
+        # The last step joins two vertices whose degree is their multiplicity,
+        # so it needs l >= 3 (see decide_contractible).
+        assert last.l == 3
+        bad = ContractionCertificate(seed.initial, (*head, ContractionStep(last.pair, 2, last.merged)))
+        assert not verify_certificate(bad)
+        with pytest.raises(GraphError, match="does not verify"):
+            lift_certificate(bad, seed.initial, identity)
+        with pytest.raises(GraphError, match="does not verify"):
+            lift_certificate(bad, seed.initial, identity)  # nor the second time
+
+    def test_seed_is_verified_once_per_process(self, monkeypatch):
+        verified = []
+        real = contraction.verify_certificate
+
+        def counting(cert, *args, **kwargs):
+            verified.append(cert)
+            return real(cert, *args, **kwargs)
+
+        monkeypatch.setattr(contraction, "verify_certificate", counting)
+        monkeypatch.setattr(contraction, "_VERIFIED", type(contraction._VERIFIED)())  # as in a new process
+        seed = load_certificate("K1")
+        graphs = [dual_graph(general_lines(7)), dual_graph(general_lines(9))]
+        certs = [contract_multipartite(g) for g in graphs]
+        assert [c is seed for c in verified] == [True, False, False]  # the seed, then each whole certificate
+        assert verified[1:] == certs
+        assert all(map(real, certs))
 
 
 class TestAbsorb:

@@ -55,6 +55,14 @@ class TestDegrees:
         with pytest.raises(UnknownVertexError):
             g.multiplicity("v1", "nope")
 
+    def test_unhashable_id_is_not_a_vertex(self):
+        g = builtin("K1")
+        assert ["v1"] not in g
+        for access in (g.weight, g.degree, g.rdeg, g.neighbors, lambda x: g.multiplicity(x, "v2"),
+                       lambda x: g.multiplicity("v2", x)):
+            with pytest.raises(UnknownVertexError, match=r"unknown vertex \['v1'\]"):
+                access(["v1"])
+
     def test_rdeg_le_degree_with_equality_iff_simple(self):
         g = builtin("example-G")
         assert all(g.rdeg(v) < g.degree(v) for v in g.vertices)
@@ -226,6 +234,9 @@ class TestSpanning:
             is_spanning_submultigraph(g, g, {})
         bad = {v: v for v in g.vertices}
         bad["v1"] = "zz"
+        with pytest.raises(UnknownVertexError):
+            is_spanning_submultigraph(g, g, bad)
+        bad["v1"] = ["v1"]
         with pytest.raises(UnknownVertexError):
             is_spanning_submultigraph(g, g, bad)
 

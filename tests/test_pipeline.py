@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from horicert import (
@@ -217,6 +220,28 @@ class TestFactorization:
             cyclic_cover_factorization(1)
         with pytest.raises(ValueError, match="limited"):
             cyclic_cover_factorization(10**12 + 1)
+
+
+class TestReportBytes:
+    """The reports' JSON bytes, pinned by SHA-256 over every report of a
+    family in order, each document followed by a newline."""
+
+    @staticmethod
+    def digest(reports) -> str:
+        h = hashlib.sha256()
+        for report in reports:
+            h.update(json.dumps(report.to_json_dict(), indent=2).encode())
+            h.update(b"\n")
+        return h.hexdigest()
+
+    def test_plane_reports(self):
+        reports = (decide_plane_double_cover(d) for d in range(2, 61))
+        assert self.digest(reports) == "e8950dedd9bb21764c25c2256892127446440d825c37a2883c1387bc22987c16"
+
+    def test_ruled_reports(self):
+        sides = (4, 6, 8, 14)
+        reports = (decide_ruled_double_cover(N, a, b) for N in range(3) for a in sides for b in sides)
+        assert self.digest(reports) == "d7d20178eeb50905bae2e9b5c3e0dec65f68ccd5d89c3ee8803793092070dc53"
 
 
 class TestReportInvariants:

@@ -31,6 +31,21 @@ class TestSurfaceType:
         with pytest.raises(ValueError):
             Surface("P3")
 
+    @pytest.mark.parametrize("N", [1.5, True, "1", None])
+    def test_ruling_parameter_must_be_an_integer(self, N):
+        with pytest.raises(ValueError, match="must be an integer"):
+            hirzebruch(N)
+
+    def test_fixed_classes_are_the_checked_classes(self):
+        assert P2.line_class() == P2.div(1)
+        assert canonical_class(P2) == P2.div(-3)
+        for N in range(5):
+            s = hirzebruch(N)
+            assert s.fiber_class() == s.div(1, 0)
+            assert s.section_class() == s.div(0, 1)
+            assert s.negative_section_class() == s.div(-N, 1)
+            assert canonical_class(s) == s.div(N - 2, -2)
+
     def test_json_round_trip(self):
         for s in (P2, hirzebruch(0), hirzebruch(5)):
             assert Surface.from_json_dict(s.to_json_dict()) == s
@@ -75,6 +90,15 @@ class TestIntersect:
             intersect(P2.div(1), hirzebruch(0).div(1, 1))
         with pytest.raises(SurfaceMismatchError):
             intersect(hirzebruch(0).div(1, 1), hirzebruch(1).div(1, 1))
+        with pytest.raises(SurfaceMismatchError):
+            hirzebruch(0).fiber_class() + hirzebruch(1).fiber_class()
+
+    def test_equal_surfaces_that_are_different_objects_mix(self):
+        s, t = hirzebruch(2), hirzebruch(2)
+        assert s is not t
+        assert intersect(s.section_class(), t.section_class()) == 2
+        assert s.fiber_class() + t.section_class() == s.div(1, 1)
+        assert s.fiber_class() - t.section_class() == t.div(1, -1)
 
 
 class TestCanonicalClass:
