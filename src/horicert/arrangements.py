@@ -113,17 +113,23 @@ def fibers_and_sections(N: int, a: int, b: int) -> Arrangement:
     return Arrangement(hirzebruch(N), ((Role.FIBER, a), (Role.SECTION, b)))
 
 
+def _shorthand_fields(parts: list[str], names: tuple[str, ...]) -> list[int]:
+    fields = dict(p.split("=", 1) for p in parts)
+    if len(fields) != len(parts) or fields.keys() != set(names):
+        raise ValueError(f"fields must be {', '.join(names)}, each once")
+    return [int(fields[name]) for name in names]
+
+
 def from_shorthand(text: str) -> Arrangement:
-    """Parse the CLI shorthand ``lines:P2:m=5`` / ``fn:N=1:a=3:b=4``."""
+    """Parse the CLI shorthand ``lines:P2:m=5`` / ``fn:N=1:a=3:b=4``, each
+    field given once in any order."""
     parts = text.split(":")
     try:
         if parts[0] == "lines" and parts[1] == "P2":
-            fields = dict(p.split("=", 1) for p in parts[2:])
-            return general_lines(int(fields["m"]))
+            return general_lines(*_shorthand_fields(parts[2:], ("m",)))
         if parts[0] == "fn":
-            fields = dict(p.split("=", 1) for p in parts[1:])
-            return fibers_and_sections(int(fields["N"]), int(fields["a"]), int(fields["b"]))
-    except (KeyError, ValueError, IndexError) as exc:
+            return fibers_and_sections(*_shorthand_fields(parts[1:], ("N", "a", "b")))
+    except (ValueError, IndexError) as exc:
         raise ValueError(f"bad arrangement shorthand {text!r}: {exc}") from None
     raise ValueError(f"bad arrangement shorthand {text!r}")
 

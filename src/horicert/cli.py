@@ -84,13 +84,22 @@ def _emit(document: str) -> None:
     sys.stdout.write(document if document.endswith("\n") else document + "\n")
 
 
+def _refuse_unused(args, names: str, what: str) -> None:
+    given = [f"--{name}" for name in names.split() if getattr(args, name) is not None]
+    if given:
+        raise GraphError(f"{what} takes no {', '.join(given)}")
+
+
 def _class_from_args(args) -> DivClass:
     if args.json:
+        _refuse_unused(args, "d N a b", "a --json class")
         return DivClass.from_json_dict(_parse_json(args.json))
     if args.kind == "p2":
+        _refuse_unused(args, "N a b", "a p2 class")
         if args.d is None:
             raise GraphError("p2 classes need --d")
         return P2.div(args.d)
+    _refuse_unused(args, "d", "an fn class")
     if args.N is None or args.a is None or args.b is None:
         raise GraphError("fn classes need --N, --a and --b")
     return hirzebruch(args.N).div(args.a, args.b)
@@ -143,8 +152,9 @@ def build_parser() -> _Parser:
     p.add_argument("--dot-dir", help="write one DOT file per intermediate graph")
 
     p = sub.add_parser("cert-verify", help="replay and check a contraction certificate")
-    p.add_argument("path", nargs="?", help="certificate JSON document, or - for stdin")
-    p.add_argument("--fixture", choices=fixtures.FIXTURE_NAMES, help="verify a bundled certificate")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("path", nargs="?", help="certificate JSON document, or - for stdin")
+    src.add_argument("--fixture", choices=fixtures.FIXTURE_NAMES, help="verify a bundled certificate")
     p.add_argument("--partial", action="store_true", help="allow a prefix that stops short of a singleton")
     p.add_argument("--dot-dir", help="write one DOT file per intermediate graph")
 
@@ -208,8 +218,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "cert-verify":
-        if not args.fixture and not args.path:
-            raise GraphError("cert-verify needs a path or --fixture")
         cert = _read_certificate(args)
         ok = verify_certificate(cert, require_singleton=not args.partial)
         if args.dot_dir and ok:
@@ -246,10 +254,12 @@ def _dispatch(args) -> int:
 
     if args.command == "theorem":
         if args.kind == "p2":
+            _refuse_unused(args, "N a b", "theorem p2")
             if args.d is None:
                 raise GraphError("theorem p2 needs --d")
             report = decide_plane_double_cover(args.d)
         else:
+            _refuse_unused(args, "d", "theorem fn")
             if args.N is None or args.a is None or args.b is None:
                 raise GraphError("theorem fn needs --N, --a and --b")
             report = decide_ruled_double_cover(args.N, args.a, args.b)

@@ -30,8 +30,8 @@ merged row, merges the pair in place, which changes only the rows of the
 pair and its neighbours and only the merged vertex's degree, and undoes
 the merge exactly on backtrack.  It keys its failure memo by the
 partition of the input's vertices into merged groups, as one int of 4
-bits per vertex, which fixes the state exactly and costs no canonical
-form.
+bits per vertex, which fixes the state exactly and needs no isomorphism
+test.
 
 Verification and absorption replay their steps without copying or
 rewriting the graph: they keep, for each current vertex, the group of
@@ -67,17 +67,18 @@ from itertools import repeat
 from typing import Container, Iterable, Iterator, Mapping
 
 from .multigraph import (
-    DEFAULT_MAX_VERTICES,
     BoundExceededError,
     GraphError,
     Partition,
     UnknownVertexError,
     WeightedMultigraph,
-    canonical_form,  # noqa: F401  (unused here; bench/worker.py traces it under this name)
     find_forbidden_triple,
     is_spanning_submultigraph,
     multipartite_partition,
 )
+
+# bench/worker.py patches this name; nothing calls it, and it goes when the benchmark drops that patch.
+canonical_form = None
 
 
 class NotAdjacentError(GraphError):
@@ -129,9 +130,6 @@ class ContractionCertificate:
 
     initial: WeightedMultigraph
     steps: tuple[ContractionStep, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
     def replay(self) -> Iterator[WeightedMultigraph]:
         """The intermediate graphs, starting at ``initial``, one per step.
@@ -355,9 +353,13 @@ def verify_certificate(cert: ContractionCertificate, require_singleton: bool = T
 
 # ------------------------------------------------------------------ search
 
+# The largest graph the search takes: its partition key has one 4-bit slot
+# per vertex, holding a vertex index below 16.
+MAX_SEARCH_VERTICES = 12
+
 # Vertex ``i`` alone, as a group of ``_SearchState``: its lowest index, and
 # the int with a 1 in slot ``i`` of the partition key.
-_ALONE = tuple((i, 16**i) for i in range(DEFAULT_MAX_VERTICES))
+_ALONE = tuple((i, 16**i) for i in range(MAX_SEARCH_VERTICES))
 
 
 def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> ContractionCertificate | None:
@@ -366,7 +368,7 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     Depth-first over adjacent pairs in sorted order, taking the minimal
     feasible ``l`` per step, so the returned certificate is deterministic.
     Returns ``None`` only after exhausting every admissible sequence.
-    A graph of more than ``DEFAULT_MAX_VERTICES`` (12) vertices raises
+    A graph of more than ``MAX_SEARCH_VERTICES`` (12) vertices raises
     :class:`BoundExceededError`; the bound is fixed.
 
     Two rules reject a state of two or more vertices as NO.  A contraction
@@ -419,9 +421,9 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     long NO search were reached and failed before.  The rules and the memo
     cut only failing subtrees, so the certificate depends on neither.
     """
-    if g.vertex_count > DEFAULT_MAX_VERTICES:
+    if g.vertex_count > MAX_SEARCH_VERTICES:
         raise BoundExceededError(
-            f"contractibility search limited to {DEFAULT_MAX_VERTICES} vertices, got {g.vertex_count}"
+            f"contractibility search limited to {MAX_SEARCH_VERTICES} vertices, got {g.vertex_count}"
         )
     if g.vertex_count == 0:
         return None

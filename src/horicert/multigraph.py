@@ -10,7 +10,7 @@ Instances are immutable after construction and safe to share between
 threads.  All derived operations (contraction, certificates, searches)
 live in :mod:`horicert.contraction`, and the named reference graphs are
 the fixtures' initial graphs (:func:`horicert.fixtures.builtin`); this
-module provides the data type, structural predicates and canonical forms.
+module provides the data type and its structural predicates.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
-
-DEFAULT_MAX_VERTICES = 12
 
 
 class GraphError(ValueError):
@@ -339,78 +337,6 @@ def is_spanning_submultigraph(
         if m > g.multiplicity(embedding[u], embedding[v]):
             return False
     return True
-
-
-# ---------------------------------------------------------------------- canon
-
-
-def _refined_colors(g: WeightedMultigraph) -> dict[str, int]:
-    """Stable colouring by iterated (weight, degree, neighbour-signature)."""
-    verts = g.vertices
-    sig = {v: (g.weight(v), g.degree(v), g.rdeg(v)) for v in verts}
-    order = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-    color = {v: order[sig[v]] for v in verts}
-    while True:
-        sig2 = {
-            v: (color[v], tuple(sorted((g.multiplicity(v, u), color[u]) for u in g.neighbors(v))))
-            for v in verts
-        }
-        order2 = {s: i for i, s in enumerate(sorted(set(sig2.values())))}
-        color2 = {v: order2[sig2[v]] for v in verts}
-        if len(order2) == len(set(color.values())):
-            return color2
-        color = color2
-
-
-def canonical_form(g: WeightedMultigraph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple:
-    """Isomorphism-invariant key for ``g``.
-
-    Two graphs receive equal keys iff some vertex bijection preserves
-    weights and all pair multiplicities.  Colour refinement first, then a
-    lexicographically minimal row encoding searched over the refined
-    classes with branch-and-bound pruning.
-    """
-    n = g.vertex_count
-    if n > max_vertices:
-        raise BoundExceededError(f"canonical form limited to {max_vertices} vertices, got {n}")
-    if n == 0:
-        return (0, ())
-    color = _refined_colors(g)
-    blocks = [
-        sorted(v for v in g.vertices if color[v] == c)
-        for c in sorted(set(color.values()))
-    ]
-    mult = g.multiplicity
-    rows: list[tuple] = []
-    # Each branch is a tuple of already-placed vertices; all active branches
-    # share the same (minimal) row prefix by construction.
-    branches: list[tuple[str, ...]] = [()]
-    all_verts = set(g.vertices)
-    for block in blocks:
-        for _ in block:
-            best_row: tuple | None = None
-            extended: list[tuple[str, ...]] = []
-            for perm in branches:
-                used = set(perm)
-                for u in block:
-                    if u in used:
-                        continue
-                    row = (g.weight(u),) + tuple(mult(u, p) for p in perm)
-                    if best_row is None or row < best_row:
-                        best_row = row
-                        extended = [perm + (u,)]
-                    elif row == best_row:
-                        extended.append(perm + (u,))
-            rows.append(best_row)  # type: ignore[arg-type]
-            # Two branches with the same remaining set and the same column
-            # pattern of every remaining vertex have identical futures.
-            dedup: dict[tuple, tuple[str, ...]] = {}
-            for perm in extended:
-                remaining = all_verts - set(perm)
-                key = tuple(sorted((u, tuple(mult(u, p) for p in perm)) for u in remaining))
-                dedup.setdefault(key, perm)
-            branches = list(dedup.values())
-    return (n, tuple(rows))
 
 
 # ---------------------------------------------------------------------- builders

@@ -68,13 +68,6 @@ def certifiable_multipartite_graphs(draw):
     return WeightedMultigraph(weights, edges)
 
 
-def relabelled(g: WeightedMultigraph, permutation: dict[str, str]) -> WeightedMultigraph:
-    return WeightedMultigraph(
-        {permutation[v]: g.weight(v) for v in g.vertices},
-        [(permutation[u], permutation[v], m) for u, v, m in g.edge_items()],
-    )
-
-
 def assert_sorted_layout(g: WeightedMultigraph) -> None:
     """``g`` is laid out as the public constructor lays it out.
 
@@ -187,7 +180,6 @@ __all__ = [
     "graphs",
     "multipartite_graphs",
     "certifiable_multipartite_graphs",
-    "relabelled",
     "assert_sorted_layout",
     "reference_verify",
     "reference_decide",

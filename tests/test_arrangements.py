@@ -128,7 +128,15 @@ class TestBuilders:
         arr = from_shorthand("fn:N=1:a=3:b=4")
         assert arr.surface == hirzebruch(1)
         assert arr.size == 7
-        for bad in ("lines:P3:m=5", "fn:N=1", "squiggles", "lines:P2:m=x"):
+        for bad in (
+            "lines:P3:m=5",
+            "fn:N=1",
+            "squiggles",
+            "lines:P2:m=x",
+            "lines:P2:m=5:m=7",
+            "fn:N=1:a=3:b=4:zz=9",
+            "fn:N=1:a=3:a=4:b=4",
+        ):
             with pytest.raises(ValueError):
                 from_shorthand(bad)
 

@@ -9,7 +9,6 @@ from horicert import (
     ContractionCertificate,
     WeightedMultigraph,
     builtin,
-    canonical_form,
     complete_multipartite,
     verify_certificate,
 )
@@ -51,6 +50,17 @@ class TestTheoremCommand:
         assert code == 3
         assert "--d" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("p2", "--d", "10", "--N", "3"), "theorem p2 takes no --N"),
+            (("p2", "--d", "10", "--a", "0", "--b", "2"), "theorem p2 takes no --a, --b"),
+            (("fn", "--N", "1", "--a", "6", "--b", "8", "--d", "10"), "theorem fn takes no --d"),
+        ],
+    )
+    def test_unused_coordinates_exit_3(self, capsys, argv, message):
+        assert invoke(capsys, "theorem", *argv) == (3, "", f"horicert: error: {message}\n")
+
     def test_bad_value(self, capsys):
         code, _, _ = invoke(capsys, "theorem", "p2", "--d", "0")
         assert code == 3
@@ -87,7 +97,7 @@ class TestGraphCommands:
         code, out, _ = invoke(capsys, "builtin-dump", "K1", "--format", "json")
         assert code == 0
         parsed = WeightedMultigraph.from_json_dict(json.loads(out))
-        assert canonical_form(parsed) == canonical_form(builtin("K1"))
+        assert parsed == builtin("K1")
 
     def test_builtin_dump_dot(self, capsys):
         code, out, _ = invoke(capsys, "builtin-dump", "K1", "--format", "dot")
@@ -245,8 +255,22 @@ class TestCertVerify:
         assert out.strip() == "INVALID"
 
     def test_missing_argument(self, capsys):
-        code, _, _ = invoke(capsys, "cert-verify")
-        assert code == 3
+        with pytest.raises(SystemExit) as exc:
+            run(["cert-verify"])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "one of the arguments path --fixture is required" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("--fixture", "K1", "no-such-file.json"), ("no-such-file.json", "--fixture", "K1")]
+    )
+    def test_path_and_fixture_together_exit_3(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(["cert-verify", *argv])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "not allowed with argument" in captured.err
 
     def test_oversized_certificate_exits_3(self, capsys, tmp_path):
         # a sparse cycle of doubled edges: cheap to parse, but verifying
@@ -359,6 +383,9 @@ class TestDeepNesting:
         assert invoke(capsys, "cert-verify", str(path)) == (0, "valid\n", "")
 
 
+LITERAL = json.dumps({"surface": {"kind": "P2"}, "class": {"d": 5}})
+
+
 class TestChermAndGenus:
     def test_chern_text(self, capsys):
         code, out, _ = invoke(capsys, "chern", "p2", "--d", "5")
@@ -386,6 +413,24 @@ class TestChermAndGenus:
     def test_missing_class(self, capsys):
         code, _, _ = invoke(capsys, "genus", "fn", "--N", "1")
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["chern", "genus"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("fn", "--N", "1", "--a", "2", "--b", "3", "--d", "5"), "an fn class takes no --d"),
+            (("p2", "--d", "5", "--N", "1"), "a p2 class takes no --N"),
+            (("--d", "5", "--a", "1", "--b", "1"), "a p2 class takes no --a, --b"),
+            (("--json", LITERAL, "--d", "5"), "a --json class takes no --d"),
+            (("fn", "--json", LITERAL, "--N", "1", "--a", "2", "--b", "3"), "a --json class takes no --N, --a, --b"),
+        ],
+    )
+    def test_unused_coordinates_exit_3(self, capsys, command, argv, message):
+        assert invoke(capsys, command, *argv) == (3, "", f"horicert: error: {message}\n")
+
+    def test_kind_is_not_an_unused_coordinate(self, capsys):
+        # ``kind`` defaults to p2, so a literal given with ``fn`` is still read
+        assert invoke(capsys, "genus", "fn", "--json", LITERAL) == invoke(capsys, "genus", "--json", LITERAL)
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,12 +3,10 @@ import json
 import pytest
 
 from horicert import (
-    BoundExceededError,
     GraphError,
     UnknownVertexError,
     WeightedMultigraph,
     builtin,
-    canonical_form,
     complete_multipartite,
     dual_graph,
     fibers_and_sections,
@@ -245,75 +243,6 @@ class TestSpanning:
         emb = {v: "v1" for v in g.vertices}
         with pytest.raises(GraphError):
             is_spanning_submultigraph(g, g, emb)
-
-
-class TestCanonicalForm:
-    def test_relabelled_seed_has_equal_key(self):
-        g = builtin("K1")
-        h = WeightedMultigraph(
-            {f"x{v}": g.weight(v) for v in g.vertices},
-            [(f"x{u}", f"x{v}", m) for u, v, m in g.edge_items()],
-        )
-        assert canonical_form(g) == canonical_form(h)
-
-    def test_weight_change_separates(self):
-        g = builtin("K1")
-        weights = {v: g.weight(v) for v in g.vertices}
-        weights["v3"] = 3
-        h = WeightedMultigraph(weights, list(g.edge_items()))
-        assert canonical_form(g) != canonical_form(h)
-
-    def test_example_graph_relabelling(self):
-        g = builtin("example-G")
-        h = WeightedMultigraph(
-            {"b": 3, "c": 3, "a": 3},
-            [("b", "c", 2), ("b", "a", 2), ("c", "a", 2)],
-        )
-        assert canonical_form(g) == canonical_form(h)
-
-    def test_bound_enforced(self):
-        big = WeightedMultigraph({f"v{i}": 1 for i in range(13)})
-        with pytest.raises(BoundExceededError):
-            canonical_form(big)
-        assert canonical_form(big, max_vertices=13)
-
-    def test_symmetric_bipartite_graph(self):
-        g = complete_multipartite([["a", "b", "c", "d"], ["e", "f", "g", "h"]], 2)
-        h = complete_multipartite([["a", "f", "c", "h"], ["e", "b", "g", "d"]], 2)
-        assert canonical_form(g) == canonical_form(h)
-
-    def test_key_equality_matches_brute_force_isomorphism(self):
-        # Independent oracle: the minimum row encoding over all n!
-        # orderings decides isomorphism; key equality must match it.
-        import itertools
-        import random
-
-        def brute_min_encoding(g):
-            best = None
-            for perm in itertools.permutations(g.vertices):
-                rows = tuple(
-                    (g.weight(perm[i]),) + tuple(g.multiplicity(perm[i], perm[j]) for j in range(i))
-                    for i in range(len(perm))
-                )
-                if best is None or rows < best:
-                    best = rows
-            return best
-
-        rng = random.Random(11)
-        pool = []
-        for _ in range(60):
-            n = rng.randint(1, 5)
-            verts = [f"v{i}" for i in range(n)]
-            weights = {v: rng.randint(0, 3) for v in verts}
-            edges = [(u, v, rng.randint(0, 2)) for u, v in itertools.combinations(verts, 2)]
-            pool.append(WeightedMultigraph(weights, edges))
-        for i, g in enumerate(pool):
-            for h in pool[i + 1:]:
-                if g.vertex_count != h.vertex_count:
-                    continue
-                same_key = canonical_form(g) == canonical_form(h)
-                isomorphic = brute_min_encoding(g) == brute_min_encoding(h)
-                assert same_key == isomorphic
 
 
 class TestBuiltins:

@@ -12,7 +12,6 @@ from conftest import (
     multipartite_graphs,
     reference_decide,
     reference_verify,
-    relabelled,
 )
 from horicert import (
     ContractionCertificate,
@@ -23,7 +22,6 @@ from horicert import (
     absorb_submultigraph,
     adjunction_genus,
     brute_force_oracle,
-    canonical_form,
     contract,
     contract_multipartite,
     decide_contractible,
@@ -160,24 +158,6 @@ def test_dual_graph_genus_identity(kind, N, a, b):
         arr = fibers_and_sections(N, a, b)
     expected = pairwise_nodes(arr) - (arr.size - 1)
     assert adjunction_genus(total_class(arr)) == expected
-
-
-@BIG
-@given(graphs(max_vertices=6), st.permutations(["w1", "w2", "w3", "w4", "w5", "w6"]))
-def test_canonical_form_is_relabelling_invariant(g, new_names):
-    mapping = dict(zip(g.vertices, new_names))
-    assert canonical_form(g) == canonical_form(relabelled(g, mapping))
-
-
-@given(graphs(max_vertices=5), graphs(max_vertices=5))
-@settings(max_examples=300, deadline=None, derandomize=True)
-def test_canonical_form_separates_obvious_invariants(g, h):
-    wts = sorted(g.weight(v) for v in g.vertices)
-    wts2 = sorted(h.weight(v) for v in h.vertices)
-    degs = sorted(g.degree(v) for v in g.vertices)
-    degs2 = sorted(h.degree(v) for v in h.vertices)
-    if wts != wts2 or degs != degs2:
-        assert canonical_form(g) != canonical_form(h)
 
 
 @given(graphs(min_vertices=2, max_vertices=5, min_weight=0))
