@@ -114,6 +114,9 @@ def fibers_and_sections(N: int, a: int, b: int) -> Arrangement:
 
 
 def _shorthand_fields(parts: list[str], names: tuple[str, ...]) -> list[int]:
+    bad = [p for p in parts if "=" not in p]
+    if bad:
+        raise ValueError(f"field {bad[0]!r} is not name=value")
     fields = dict(p.split("=", 1) for p in parts)
     if len(fields) != len(parts) or fields.keys() != set(names):
         raise ValueError(f"fields must be {', '.join(names)}, each once")
@@ -125,13 +128,13 @@ def from_shorthand(text: str) -> Arrangement:
     field given once in any order."""
     parts = text.split(":")
     try:
-        if parts[0] == "lines" and parts[1] == "P2":
+        if parts[:2] == ["lines", "P2"]:
             return general_lines(*_shorthand_fields(parts[2:], ("m",)))
         if parts[0] == "fn":
             return fibers_and_sections(*_shorthand_fields(parts[1:], ("N", "a", "b")))
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad arrangement shorthand {text!r}: {exc}") from None
-    raise ValueError(f"bad arrangement shorthand {text!r}")
+    raise ValueError(f"bad arrangement shorthand {text!r}: expected lines:P2:m=<int> or fn:N=<int>:a=<int>:b=<int>")
 
 
 # ------------------------------------------------------------------ numbers

@@ -93,8 +93,10 @@ def _refuse_unused(args, names: str, what: str) -> None:
 def _class_from_args(args) -> DivClass:
     if args.json:
         _refuse_unused(args, "d N a b", "a --json class")
+        if args.kind is not None:
+            raise GraphError(f"a --json class takes no kind {args.kind!r}: the literal names its surface")
         return DivClass.from_json_dict(_parse_json(args.json))
-    if args.kind == "p2":
+    if args.kind in (None, "p2"):
         _refuse_unused(args, "N a b", "a p2 class")
         if args.d is None:
             raise GraphError("p2 classes need --d")
@@ -169,7 +171,7 @@ def build_parser() -> _Parser:
             if name == "chern"
             else "arithmetic genus of a divisor class",
         )
-        p.add_argument("kind", choices=("p2", "fn"), nargs="?", default="p2")
+        p.add_argument("kind", choices=("p2", "fn"), nargs="?")
         p.add_argument("--d", type=int, help="degree on the plane")
         p.add_argument("--N", type=int, help="ruled surface parameter")
         p.add_argument("--a", type=int)

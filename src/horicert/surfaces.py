@@ -81,11 +81,11 @@ class Surface:
         if not isinstance(data, dict):
             raise ValueError(f"surface must be an object, got {data!r}")
         kind = data.get("kind")
-        if kind == "P2":
-            return P2
-        if kind == "FN":
-            return cls("FN", _int_field(data, "N", "an FN surface"))
-        raise ValueError(f"unknown surface kind {kind!r}")
+        if kind not in ("P2", "FN"):
+            raise ValueError(f"unknown surface kind {kind!r}")
+        what = "a P2 surface" if kind == "P2" else "an FN surface"
+        _refuse_unknown(data, ("kind",) if kind == "P2" else ("kind", "N"), what)
+        return P2 if kind == "P2" else cls("FN", _int_field(data, "N", what))
 
     def __str__(self) -> str:
         return "P2" if self.is_plane else f"F{self.N}"
@@ -102,6 +102,13 @@ def _int_field(data: dict, key: str, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} needs an integer {key!r}, got {value!r}")
     return value
+
+
+def _refuse_unknown(data: dict, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a parsed JSON object with a field outside ``keys``."""
+    unknown = [k for k in data if k not in keys]
+    if unknown:
+        raise ValueError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}")
 
 
 def hirzebruch(N: int) -> Surface:
@@ -164,9 +171,11 @@ class DivClass:
     def from_json_dict(cls, data) -> "DivClass":
         if not isinstance(data, dict) or not isinstance(data.get("class"), dict):
             raise ValueError(f"class literal needs a \"surface\" and a \"class\" object, got {data!r}")
+        _refuse_unknown(data, ("surface", "class"), "a class literal")
         surface = Surface.from_json_dict(data.get("surface"))
-        names = ("d",) if surface.is_plane else ("a", "b")
-        return surface.div(*(_int_field(data["class"], k, f"a class on {surface}") for k in names))
+        names, what = ("d",) if surface.is_plane else ("a", "b"), f"a class on {surface}"
+        _refuse_unknown(data["class"], names, what)
+        return surface.div(*(_int_field(data["class"], k, what) for k in names))
 
     def __str__(self) -> str:
         if self.surface.is_plane:

@@ -136,6 +136,9 @@ class TestBuilders:
             "lines:P2:m=5:m=7",
             "fn:N=1:a=3:b=4:zz=9",
             "fn:N=1:a=3:a=4:b=4",
+            "lines",
+            "lines:P2:m=5:",
+            "fn:N=1:a=3:b",
         ):
             with pytest.raises(ValueError):
                 from_shorthand(bad)

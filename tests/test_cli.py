@@ -135,6 +135,20 @@ class TestGraphCommands:
         assert err == f"horicert: error: bad arrangement shorthand {shorthand!r}: {message}\n"
 
     @pytest.mark.parametrize(
+        "shorthand, message",
+        [
+            ("lines", "expected lines:P2:m=<int> or fn:N=<int>:a=<int>:b=<int>"),
+            ("lines:P2:m=5:", "field '' is not name=value"),
+            ("fn:N=1:a=3:b", "field 'b' is not name=value"),
+        ],
+    )
+    def test_graph_dual_shorthand_message(self, capsys, shorthand, message):
+        code, out, err = invoke(capsys, "graph-dual", shorthand)
+        assert code == 3
+        assert out == ""
+        assert err == f"horicert: error: bad arrangement shorthand {shorthand!r}: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("graph-dual", "lines:P2:m=100000"),
@@ -428,9 +442,15 @@ class TestChermAndGenus:
     def test_unused_coordinates_exit_3(self, capsys, command, argv, message):
         assert invoke(capsys, command, *argv) == (3, "", f"horicert: error: {message}\n")
 
-    def test_kind_is_not_an_unused_coordinate(self, capsys):
-        # ``kind`` defaults to p2, so a literal given with ``fn`` is still read
-        assert invoke(capsys, "genus", "fn", "--json", LITERAL) == invoke(capsys, "genus", "--json", LITERAL)
+    @pytest.mark.parametrize("command", ["chern", "genus"])
+    @pytest.mark.parametrize("kind", ["p2", "fn"])
+    def test_json_class_takes_no_kind(self, capsys, command, kind):
+        # the literal names its surface, so a kind beside it is refused, not ignored
+        message = f"a --json class takes no kind {kind!r}: the literal names its surface"
+        assert invoke(capsys, command, kind, "--json", LITERAL) == (3, "", f"horicert: error: {message}\n")
+
+    def test_kind_defaults_to_p2(self, capsys):
+        assert invoke(capsys, "genus", "--d", "5") == invoke(capsys, "genus", "p2", "--d", "5") == (0, "genus 6\n", "")
 
     @pytest.mark.parametrize(
         "argv",
@@ -489,6 +509,9 @@ class TestChermAndGenus:
             {"surface": [1], "class": {"d": 5}},
             {"class": {"d": 5}},
             [1],
+            {"surface": {"kind": "P2", "N": 3}, "class": {"d": 4}},
+            {"surface": {"kind": "FN", "N": 1}, "class": {"a": 1, "b": 2, "d": 4}},
+            {"surface": {"kind": "P2"}, "class": {"d": 5}, "extra": 1},
         ],
     )
     def test_malformed_class_literal(self, capsys, literal):
@@ -496,6 +519,23 @@ class TestChermAndGenus:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ({"surface": {"kind": "P2", "N": 3}, "class": {"d": 4}}, "a P2 surface has unknown field(s) 'N'"),
+            (
+                {"surface": {"kind": "FN", "N": 1}, "class": {"a": 1, "b": 2, "d": 4}},
+                "a class on F1 has unknown field(s) 'd'",
+            ),
+            (
+                {"surface": {"kind": "P2"}, "class": {"d": 5}, "extra": 1},
+                "a class literal has unknown field(s) 'extra'",
+            ),
+        ],
+    )
+    def test_unknown_literal_field_is_named(self, capsys, literal, message):
+        assert invoke(capsys, "genus", "--json", json.dumps(literal)) == (3, "", f"horicert: error: {message}\n")
 
 
 class TestFixtureModule:

@@ -243,6 +243,59 @@ class TestReportBytes:
         reports = (decide_ruled_double_cover(N, a, b) for N in range(3) for a in sides for b in sides)
         assert self.digest(reports) == "d7d20178eeb50905bae2e9b5c3e0dec65f68ccd5d89c3ee8803793092070dc53"
 
+    def test_ruled_not_covered_reports(self):
+        sides = (3, 4, 5, 8, 9)
+        reports = (
+            decide_ruled_double_cover(N, a, b) for N in range(3) for a in sides for b in sides if a % 2 or b % 2
+        )
+        assert self.digest(reports) == "775cf5baea9083bf628ad63f3cd4d2e4158d710bf429afc411b4dd2ff7ad5ad7"
+
+    @staticmethod
+    def text_digest(reports) -> str:
+        h = hashlib.sha256()
+        for report in reports:
+            h.update(report.render_text().encode())
+            h.update(b"\n")
+        return h.hexdigest()
+
+    def test_plane_text(self):
+        reports = (decide_plane_double_cover(d) for d in range(2, 61))
+        assert self.text_digest(reports) == "a0fbb264a800ecfe3fce0b003c549a663fe95da916216548014523e29e23f06f"
+
+    def test_ruled_text(self):
+        sides = (4, 6, 8, 14)
+        reports = (decide_ruled_double_cover(N, a, b) for N in range(3) for a in sides for b in sides)
+        assert self.text_digest(reports) == "14dd9cb39d0264260dc1eeb9c832078e61391d3cb7efc08eba53d16690c6cf10"
+
+
+class TestVerdictIsTheBounds:
+    """The degree bounds are the verdict: an even class is YES exactly when
+    ``check_degeneration_bounds`` passes on the decider's half and full class."""
+
+    @staticmethod
+    def assert_decided_by_bounds(report, surface, half, full):
+        passed = check_degeneration_bounds(surface, half, full).passed
+        assert (report.verdict is Verdict.YES) == passed
+        if not passed:
+            assert report.verdict is Verdict.NO
+            assert not any(n.name.startswith("corollary.") for n in report.all_nodes())
+
+    def test_plane(self):
+        for d in range(2, 81, 2):
+            self.assert_decided_by_bounds(decide_plane_double_cover(d), P2, P2.div(d // 2), P2.div(d))
+
+    def test_ruled(self):
+        for N in range(6):
+            surface = hirzebruch(N)
+            for a in range(2, 21, 2):
+                for b in range(2, 21, 2):
+                    report = decide_ruled_double_cover(N, a, b)
+                    self.assert_decided_by_bounds(report, surface, surface.div(a // 2, b // 2), surface.div(a, b))
+
+    def test_no_past_the_size_bound_builds_no_arrangement(self):
+        # 500 + 2 components would exceed the arrangement bound; a NO never builds one
+        assert decide_ruled_double_cover(1, 1000, 4).verdict is Verdict.NO
+
 
 class TestReportInvariants:
     def test_yes_requires_all_passed(self):
