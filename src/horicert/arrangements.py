@@ -120,12 +120,20 @@ def _shorthand_fields(parts: list[str], names: tuple[str, ...]) -> list[int]:
     fields = dict(p.split("=", 1) for p in parts)
     if len(fields) != len(parts) or fields.keys() != set(names):
         raise ValueError(f"fields must be {', '.join(names)}, each once")
+    for name in names:
+        digits = fields[name].removeprefix("-")
+        if not (digits.isascii() and digits.isdecimal()):  # int() also takes "+5", " 5", "5_0" and non-ASCII digits
+            raise ValueError(f"field {name!r} must be an integer, got {fields[name]!r}")
     return [int(fields[name]) for name in names]
 
 
 def from_shorthand(text: str) -> Arrangement:
-    """Parse the CLI shorthand ``lines:P2:m=5`` / ``fn:N=1:a=3:b=4``, each
-    field given once in any order."""
+    """Parse the CLI shorthand ``lines:P2:m=5`` / ``fn:N=1:a=3:b=4``.
+
+    The grammar is ``lines:P2:m=<int>`` or ``fn:N=<int>:a=<int>:b=<int>``,
+    each field given once in any order, where ``<int>`` is an optional
+    ``-`` and one or more ASCII digits: no ``+``, spaces or underscores.
+    """
     parts = text.split(":")
     try:
         if parts[:2] == ["lines", "P2"]:

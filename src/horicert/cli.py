@@ -138,8 +138,10 @@ def _certificate_document(cert: ContractionCertificate, fmt: str) -> str:
 def _write_step_dots(cert: ContractionCertificate, directory: str) -> None:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
+    width = max(2, len(str(len(cert.steps))))  # names sort in step order
     for i, g in enumerate(cert.replay()):
-        (out / f"step_{i:02d}.dot").write_text(g.to_dot(f"step_{i:02d}"), encoding="utf-8")
+        name = f"step_{i:0{width}d}"
+        (out / f"{name}.dot").write_text(g.to_dot(name), encoding="utf-8")
 
 
 def build_parser() -> _Parser:

@@ -61,7 +61,6 @@ seed is verified once per process, and every certificate
 from __future__ import annotations
 
 import weakref
-from bisect import insort
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Container, Iterable, Iterator, Mapping
@@ -189,7 +188,7 @@ def contract(g: WeightedMultigraph, pair: tuple[str, str], merged: str | None = 
     builds the child through the checking constructor, in O(m^2) time
     for ``m`` vertices; to check a list of steps, replay them on one
     ``_Replay`` instead.  The search does not call it: it merges in place
-    on one ``_SearchState``.
+    on one copy of the rows.
     """
     v, w = pair
     if g.multiplicity(v, w) < 1:
@@ -357,7 +356,7 @@ def verify_certificate(cert: ContractionCertificate, require_singleton: bool = T
 # per vertex, holding a vertex index below 16.
 MAX_SEARCH_VERTICES = 12
 
-# Vertex ``i`` alone, as a group of ``_SearchState``: its lowest index, and
+# Vertex ``i`` alone, as a group of the search state: its lowest index, and
 # the int with a 1 in slot ``i`` of the partition key.
 _ALONE = tuple((i, 16**i) for i in range(MAX_SEARCH_VERTICES))
 
@@ -396,9 +395,9 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     The search checks both rules on entry, in the same pass that sums the
     degrees it then keeps.  Then every vertex of every state searched has
     weight ``>= 1`` and degree ``>= 4``, so the kernel is asked with an
-    empty set of low-degree vertices.  The search works on one
-    :class:`_SearchState`, which a merge changes in place and an undo
-    restores.  :func:`_child_row` judges a child before its pair is
+    empty set of low-degree vertices.  :func:`_search` works on one copy
+    of ``g``'s rows and weights, which it merges in place and splits again
+    on backtrack.  :func:`_child_row` judges a child before its pair is
     merged, from the rows of the pair, and returns the merged row that the
     merge then takes: merging ``u`` and ``v`` (merged weight ``>= 2``)
     removes one anchor iff both weigh ``>= 2``, and only the rows of the
@@ -434,10 +433,11 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
         return None
     deg, anchors = viable
     failed = memo if memo is not None else set()
-    state = _SearchState(g, failed, deg)
     key = int("ba9876543210"[-g.vertex_count:], 16)  # every vertex alone
     if (g, key) in failed:
         return None
+    rows = {x: row.copy() for x, row in g._adj.items()}
+    state = (g, failed, rows, dict(g._weights), deg, dict(zip(g._vertices, _ALONE)))
     steps = _search(state, key, 1, anchors)
     if steps is None:
         return None
@@ -490,114 +490,81 @@ def _child_row(
     return row
 
 
-class _SearchState:
-    """The one mutable state of a search from ``g``: merged in place, and
-    split again exactly on backtrack.
+def _search(s: tuple, key: int, name_index: int, anchors: int) -> list[ContractionStep] | None:
+    """The steps contracting the current state to a point, or ``None``
+    after recording it in ``failed`` and leaving the state as it was;
+    ``key`` is the state's partition key and the state, which passes both
+    rules of :func:`decide_contractible`, has ``anchors`` anchors.
 
-    ``rows``, ``wt`` and ``deg`` hold the adjacency rows, weights and
-    degrees of the current vertices: rows and weights copied once from
-    ``g``, so ``g`` is never changed, and the degrees :func:`_viability`
-    summed.  ``groups`` maps each current vertex to its group's lowest
-    index in ``g.vertices`` and the int with a 1 in each member's slot of
-    the partition key; ``live`` lists the current vertices in sorted
-    order.  A merge takes its row from :func:`_child_row`, swaps each
-    neighbour's entries for the pair for one entry for the merged vertex,
-    and changes no degree but the merged vertex's (see :class:`_Replay`).
+    ``s`` is ``(g, failed, rows, wt, deg, groups)``, one per search and
+    changed in place.  ``rows``, ``wt`` and ``deg`` hold the adjacency
+    rows, weights and degrees of the current vertices: rows and weights
+    copied once from ``g``, so ``g`` is never changed, and the degrees
+    :func:`_viability` summed.  ``groups`` maps each current vertex to its
+    group's lowest index in ``g.vertices`` and the int with a 1 in each
+    member's slot of the partition key.  A merge takes its row from
+    :func:`_child_row`, swaps each neighbour's entries for the pair for one
+    entry for the merged vertex, and changes no degree but the merged
+    vertex's (see :class:`_Replay`).  This frame splits the pair again
+    from its own locals when the child fails, so a state is left merged
+    only on success.
     """
-
-    __slots__ = ("g", "failed", "rows", "wt", "deg", "groups", "live")
-
-    def __init__(self, g: WeightedMultigraph, failed: set, deg: dict[str, int]):
-        self.g = g
-        self.failed = failed
-        self.rows = {x: row.copy() for x, row in g._adj.items()}
-        self.wt = dict(g._weights)
-        self.deg = deg
-        self.groups = dict(zip(g._vertices, _ALONE))
-        self.live = list(g._vertices)
-
-    def merge(self, u: str, v: str, merged: str, mult: int, row: dict[str, int]) -> tuple:
-        """Contract the current vertices ``u``, ``v``, joined by ``mult``
-        edges, into the new vertex ``merged`` with the row ``row``; returns
-        what :meth:`undo` needs to split it again."""
-        rows, wt, deg, groups, live = self.rows, self.wt, self.deg, self.groups, self.live
-        row_u, row_v = rows.pop(u), rows.pop(v)
-        for x, k in row.items():
-            nbrs = rows[x]
-            nbrs.pop(u, None)
-            nbrs.pop(v, None)
-            nbrs[merged] = k
-        rows[merged] = row
-        wt_u, wt_v = wt.pop(u), wt.pop(v)
-        deg_u, deg_v = deg.pop(u), deg.pop(v)
-        group_u, group_v = groups.pop(u), groups.pop(v)
-        wt[merged] = wt_u + wt_v
-        deg[merged] = deg_u + deg_v - 2 * mult
-        groups[merged] = (min(group_u[0], group_v[0]), group_u[1] + group_v[1])
-        live.remove(u)
-        live.remove(v)
-        insort(live, merged)
-        return u, v, merged, row_u, row_v, wt_u, wt_v, deg_u, deg_v, group_u, group_v
-
-    def undo(self, saved: tuple) -> None:
-        """Split the vertex made by the :meth:`merge` that returned ``saved``,
-        the last merge not yet undone."""
-        u, v, merged, row_u, row_v, wt_u, wt_v, deg_u, deg_v, group_u, group_v = saved
-        rows, wt, deg, groups, live = self.rows, self.wt, self.deg, self.groups, self.live
-        for x in rows.pop(merged):
-            nbrs = rows[x]
-            del nbrs[merged]
-            if x in row_u:
-                nbrs[u] = row_u[x]
-            if x in row_v:
-                nbrs[v] = row_v[x]
-        rows[u], rows[v] = row_u, row_v
-        del wt[merged], deg[merged], groups[merged]
-        wt[u], wt[v] = wt_u, wt_v
-        deg[u], deg[v] = deg_u, deg_v
-        groups[u], groups[v] = group_u, group_v
-        live.remove(merged)
-        insort(live, u)
-        insort(live, v)
-
-
-def _search(s: _SearchState, key: int, name_index: int, anchors: int) -> list[ContractionStep] | None:
-    """The steps contracting the current state of ``s`` to a point, or
-    ``None`` after recording it in ``s.failed`` and leaving ``s`` as it
-    was; ``key`` is the state's partition key and the state, which passes
-    both rules of :func:`decide_contractible`, has ``anchors`` anchors.  A
-    state is left merged only on success."""
-    g, failed, rows, wt, deg, groups, live = s.g, s.failed, s.rows, s.wt, s.deg, s.groups, s.live
+    g, failed, rows, wt, deg, groups = s
     k = _fresh_index(wt, name_index)
     merged = f"m{k}"
     # Pairs in sorted order, as edge_items lists them.  Every merge below
-    # is undone before the scan goes on, so ``live`` is the same list again.
-    for i, u in enumerate(live):
+    # is undone before the scan goes on, so one sorted list serves it all.
+    order = sorted(wt)
+    for i, u in enumerate(order):
         row_u = rows[u]
-        for v in live[i + 1:]:
+        for v in order[i + 1:]:
             mult = row_u.get(v)
             if mult is None:
                 continue
-            wt_u, wt_v = wt[u], wt[v]
-            l, hi_uv, hi_vu = _admissible(u, v, mult, wt_u, wt_v, deg[u], deg[v], ())
+            wt_u, wt_v, deg_u, deg_v = wt[u], wt[v], deg[u], deg[v]
+            l, hi_uv, hi_vu = _admissible(u, v, mult, wt_u, wt_v, deg_u, deg_v, ())
             if l <= hi_uv:
                 pair = (u, v)
             elif l <= hi_vu:
                 pair = (v, u)
             else:
                 continue
-            if len(live) == 2:
+            if len(order) == 2:
                 return [ContractionStep(pair, l, merged)]
-            (a, slots_a), (b, slots_b) = groups[u], groups[v]
+            group_u, group_v = groups[u], groups[v]
+            (a, slots_a), (b, slots_b) = group_u, group_v
             child = key - (b - a) * slots_b if a < b else key - (a - b) * slots_a
             if (g, child) in failed or (row := _child_row(rows, wt, deg, anchors, u, v, mult)) is None:
                 continue
-            saved = s.merge(u, v, merged, mult, row)
+            # Merge in place; the locals above keep what the split needs.
+            row_v = rows.pop(v)
+            del rows[u], wt[u], wt[v], deg[u], deg[v], groups[u], groups[v]
+            for x, m in row.items():
+                nbrs = rows[x]
+                nbrs.pop(u, None)
+                nbrs.pop(v, None)
+                nbrs[merged] = m
+            rows[merged] = row
+            wt[merged] = wt_u + wt_v
+            deg[merged] = deg_u + deg_v - 2 * mult
+            groups[merged] = (min(a, b), slots_a + slots_b)
             rest = _search(s, child, k + 1, anchors - (wt_u >= 2 and wt_v >= 2))
             if rest is not None:
                 rest.insert(0, ContractionStep(pair, l, merged))
                 return rest
-            s.undo(saved)
+            # The child failed: split the pair again.
+            for x in rows.pop(merged):
+                nbrs = rows[x]
+                del nbrs[merged]
+                if x in row_u:
+                    nbrs[u] = row_u[x]
+                if x in row_v:
+                    nbrs[v] = row_v[x]
+            del wt[merged], deg[merged], groups[merged]
+            rows[u], rows[v] = row_u, row_v
+            wt[u], wt[v] = wt_u, wt_v
+            deg[u], deg[v] = deg_u, deg_v
+            groups[u], groups[v] = group_u, group_v
     failed.add((g, key))
     return None
 

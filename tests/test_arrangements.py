@@ -139,6 +139,11 @@ class TestBuilders:
             "lines",
             "lines:P2:m=5:",
             "fn:N=1:a=3:b",
+            "lines:P2:m=5_0",
+            "lines:P2:m=+5",
+            "lines:P2:m= 5",
+            "lines:P2:m=\uff15",
+            "fn:N=1:a=3:b=4.0",
         ):
             with pytest.raises(ValueError):
                 from_shorthand(bad)

@@ -10,6 +10,9 @@ from horicert import (
     WeightedMultigraph,
     builtin,
     complete_multipartite,
+    contract_multipartite,
+    dual_graph,
+    general_lines,
     verify_certificate,
 )
 from horicert.cli import MAX_INPUT_BYTES, run
@@ -140,6 +143,16 @@ class TestGraphCommands:
             ("lines", "expected lines:P2:m=<int> or fn:N=<int>:a=<int>:b=<int>"),
             ("lines:P2:m=5:", "field '' is not name=value"),
             ("fn:N=1:a=3:b", "field 'b' is not name=value"),
+            ("lines:P2:m=x", "field 'm' must be an integer, got 'x'"),
+            ("lines:P2:m=5_0", "field 'm' must be an integer, got '5_0'"),
+            ("lines:P2:m=+5", "field 'm' must be an integer, got '+5'"),
+            ("lines:P2:m= 5", "field 'm' must be an integer, got ' 5'"),
+            ("lines:P2:m=", "field 'm' must be an integer, got ''"),
+            ("lines:P2:m=-", "field 'm' must be an integer, got '-'"),
+            ("lines:P2:m=\uff15", "field 'm' must be an integer, got '\uff15'"),
+            ("fn:N=1:a=3:b=4.0", "field 'b' must be an integer, got '4.0'"),
+            ("lines:P2:m=-3", "need at least one line, got -3"),
+            ("fn:N=-1:a=3:b=4", "Hirzebruch parameter must be >= 0, got -1"),
         ],
     )
     def test_graph_dual_shorthand_message(self, capsys, shorthand, message):
@@ -298,6 +311,20 @@ class TestCertVerify:
         assert code == 3
         assert out == ""
         assert err == "horicert: error: certificate limited to 256 vertices, got 257\n"
+
+    def test_dot_files_sort_in_replay_order(self, capsys, tmp_path):
+        # 101 steps, so 102 graphs: the index is padded to three digits
+        cert = contract_multipartite(dual_graph(general_lines(102)))
+        assert len(cert.steps) == 101
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert.to_json_dict()))
+        out_dir = tmp_path / "steps"
+        code, _, _ = invoke(capsys, "cert-verify", str(path), "--dot-dir", str(out_dir))
+        assert code == 0
+        files = sorted(out_dir.iterdir())
+        assert [p.name for p in files] == [f"step_{i:03d}.dot" for i in range(102)]
+        for p, g in zip(files, cert.replay(), strict=True):
+            assert p.read_text(encoding="utf-8") == g.to_dot(p.stem)
 
     def test_largest_theorem_certificate_verifies(self, capsys, tmp_path):
         code, out, _ = invoke(capsys, "theorem", "p2", "--d", "512", "--format", "json")

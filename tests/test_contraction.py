@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -427,6 +429,28 @@ class TestDecide:
         assert len(memo) == 2_827
         assert held <= 200 * len(memo)
         assert all(h is g and type(key) is int and 0 <= key < 16**10 for h, key in memo)
+
+    def test_certificates_are_pinned(self):
+        # 2,000 seeded 6-12-vertex graphs.  The YES count and the digest of
+        # every certificate's steps (or null) are fixed values, so this pin
+        # does not lean on the reference search in conftest, which shares
+        # _viability and _child_row with the search.  Memo sizes are not
+        # pinned here: pruning may change them, but not the certificates.
+        rng = random.Random(7)
+        digest = hashlib.sha256()
+        yes = 0
+        for _ in range(2000):
+            n = rng.randint(6, 12)
+            p = rng.uniform(0.3, 0.9)
+            names = [f"v{i:02d}" for i in range(n)]
+            weights = {x: rng.randint(1, 4) for x in names}
+            edges = [(a, b, rng.randint(1, 3)) for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < p]
+            cert = decide_contractible(WeightedMultigraph(weights, edges))
+            yes += cert is not None
+            steps = None if cert is None else cert.to_json_dict()["steps"]
+            digest.update(json.dumps(steps).encode() + b"\n")
+        assert yes == 1_293
+        assert digest.hexdigest() == "296ceaf46512777796dec9bc07739c150e313ada4a1a05f900e025613a674690"
 
     def test_search_leaves_no_reference_cycle(self):
         # Garbage left in a reference cycle would keep each call's memo
