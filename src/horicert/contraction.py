@@ -420,20 +420,19 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     long NO search were reached and failed before.  The rules and the memo
     cut only failing subtrees, so the certificate depends on neither.
     """
-    if g.vertex_count > MAX_SEARCH_VERTICES:
-        raise BoundExceededError(
-            f"contractibility search limited to {MAX_SEARCH_VERTICES} vertices, got {g.vertex_count}"
-        )
-    if g.vertex_count == 0:
+    n = len(g._weights)
+    if n > MAX_SEARCH_VERTICES:
+        raise BoundExceededError(f"contractibility search limited to {MAX_SEARCH_VERTICES} vertices, got {n}")
+    if n == 0:
         return None
-    if g.vertex_count == 1:
+    if n == 1:
         return ContractionCertificate(g, ())
     viable = _viability(g)
     if viable is None:
         return None
     deg, anchors = viable
     failed = memo if memo is not None else set()
-    key = int("ba9876543210"[-g.vertex_count:], 16)  # every vertex alone
+    key = int("ba9876543210"[-n:], 16)  # every vertex alone
     if (g, key) in failed:
         return None
     rows = {x: row.copy() for x, row in g._adj.items()}
@@ -575,56 +574,63 @@ ORACLE_MAX_VERTICES = 5
 def brute_force_oracle(g: WeightedMultigraph, max_total_multiplicity: int = 12) -> bool:
     """Independent contractibility oracle: enumerate every sequence.
 
-    Evaluates the definition literally, one candidate ordering and ``l`` at
-    a time, on its own weight list and multiplicity matrix with its own
-    merge; it shares no code with the search, :func:`contract` or the
-    admissibility kernel, so agreement with the search checks both.  A pair
-    with some admissible candidate is merged once, since the merged graph
-    depends on neither the ordering nor ``l``.  No memoization and no
-    pruning.  Size bounds keep the blow-up harmless: the vertex bound
+    Evaluates the definition literally, on its own weight list and
+    multiplicity matrix: ``_oracle_exhaust`` tries every adjacent pair of
+    every state, ``_oracle_some_l`` every ordering and ``l`` of a pair, and
+    ``_oracle_merge`` merges it.  Nothing else calls these three, and they
+    share no code with the search, :func:`contract` or the admissibility
+    kernel, so agreement with the search checks both.  A pair with some
+    admissible candidate is merged once, since the merged graph depends on
+    neither the ordering nor ``l``.  No memoization and no pruning.  Size
+    bounds keep the blow-up harmless: the vertex bound
     ``ORACLE_MAX_VERTICES`` is fixed, the multiplicity bound can be raised
     for exhaustive comparison runs.
     """
     if g.vertex_count > ORACLE_MAX_VERTICES:
         raise BoundExceededError(f"oracle limited to {ORACLE_MAX_VERTICES} vertices")
     names = g.vertices
-    adj = g._adj
-    matrix = [[adj[x].get(y, 0) for y in names] for x in names]
+    matrix = [[row.get(y, 0) for y in names] for row in g._adj.values()]
     if sum(map(sum, matrix)) > 2 * max_total_multiplicity:
         raise BoundExceededError(f"oracle limited to total multiplicity {max_total_multiplicity}")
+    return _oracle_exhaust(list(g._weights.values()), matrix)
 
-    def some_l(wt, deg, a, b, k):
-        for x, y in ((a, b), (b, a)):
-            for l in range(k):
-                if wt[x] >= l + 1 and wt[y] >= l + 2 and deg[x] - k + l >= 3 and deg[y] - k + l >= 3:
-                    return True
-        return False
 
-    def merge(wt, m, a, b):
-        keep = [x for x in range(len(wt)) if x != a and x != b]
-        rows = [[m[x][y] for y in keep] + [m[x][a] + m[x][b]] for x in keep]
-        rows.append([m[a][y] + m[b][y] for y in keep] + [0])
-        return [wt[x] for x in keep] + [wt[a] + wt[b]], rows
+def _oracle_exhaust(wt: list[int], m: list[list[int]]) -> bool:
+    n = len(wt)
+    if n == 1:
+        return True
+    deg = [sum(row) for row in m]
+    low = [x for x in range(n) if deg[x] < 3]
+    for a, row in enumerate(m):
+        for b in range(a + 1, n):
+            k = row[b]
+            if (
+                k
+                and (not low or all(x == a or x == b for x in low))  # every bystander has degree >= 3
+                and _oracle_some_l(wt, deg, a, b, k)
+                and _oracle_exhaust(*_oracle_merge(wt, m, a, b))
+            ):
+                return True
+    return False
 
-    def exhaust(wt, m) -> bool:
-        n = len(wt)
-        if n == 1:
-            return True
-        deg = [sum(row) for row in m]
-        low = [x for x in range(n) if deg[x] < 3]
-        for a in range(n):
-            for b in range(a + 1, n):
-                k = m[a][b]
-                if (
-                    k
-                    and all(x == a or x == b for x in low)  # every bystander has degree >= 3
-                    and some_l(wt, deg, a, b, k)
-                    and exhaust(*merge(wt, m, a, b))
-                ):
-                    return True
-        return False
 
-    return exhaust([g._weights[x] for x in names], matrix)
+def _oracle_some_l(wt: list[int], deg: list[int], a: int, b: int, k: int) -> bool:
+    for x, y in ((a, b), (b, a)):
+        for l in range(k):
+            if wt[x] >= l + 1 and wt[y] >= l + 2 and deg[x] - k + l >= 3 and deg[y] - k + l >= 3:
+                return True
+    return False
+
+
+def _oracle_merge(wt: list[int], m: list[list[int]], a: int, b: int) -> tuple[list[int], list[list[int]]]:
+    # a < b: deleting b first keeps a's index.  The merged vertex comes last.
+    rows = [row + [row[a] + row[b]] for x, row in enumerate(m) if x != a and x != b]
+    rows.append([p + q for p, q in zip(m[a], m[b])] + [0])
+    for row in rows:
+        del row[b], row[a]
+    wt = wt + [wt[a] + wt[b]]
+    del wt[b], wt[a]
+    return wt, rows
 
 
 # ------------------------------------------------------------------ lifting

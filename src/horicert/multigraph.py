@@ -46,25 +46,28 @@ class WeightedMultigraph:
     __slots__ = ("_weights", "_adj", "_vertices", "_hash")
 
     def __init__(self, weights: Mapping[str, int], edges: Iterable[tuple] = ()):
+        # Ids, then weights, then edges in order; an exact str or int skips isinstance.
         for v in weights:
-            if not isinstance(v, str):
+            if type(v) is not str and not isinstance(v, str):
                 raise GraphError(f"vertex id must be a string, got {v!r}")
-        wt: dict[str, int] = {}
-        for v in sorted(weights):
-            w = weights[v]
-            if not isinstance(w, int) or isinstance(w, bool):
+        ids = sorted(weights)
+        wt = dict(weights) if list(weights) == ids else {v: weights[v] for v in ids}
+        for v, w in wt.items():
+            if type(w) is not int and (not isinstance(w, int) or isinstance(w, bool)):
                 raise GraphError(f"weight of {v!r} must be an integer, got {w!r}")
-            wt[v] = w
         adj: dict[str, dict[str, int]] = {v: {} for v in wt}
         row_of = adj.get
         entry = None
+        # New pairs arriving as (u, v) with u < v, in increasing order, fill every row sorted.
+        in_order, last_u, last_v = True, "", ""
         try:  # one handler for the whole loop: no per-edge cost
             for entry in edges:
-                if len(entry) == 2:
+                size = len(entry)
+                if size == 3:
+                    u, v, mult = entry
+                elif size == 2:
                     u, v = entry
                     mult = 1
-                elif len(entry) == 3:
-                    u, v, mult = entry
                 else:
                     raise GraphError(f"edge entry must be (u, v) or (u, v, mult), got {entry!r}")
                 row_u, row_v = row_of(u), row_of(v)
@@ -75,16 +78,21 @@ class WeightedMultigraph:
                     raise GraphError(f"self-loop at {u!r} is not allowed")
                 if (type(mult) is not int and (not isinstance(mult, int) or isinstance(mult, bool))) or mult < 0:
                     raise GraphError(f"multiplicity of ({u!r}, {v!r}) must be a non-negative integer")
-                if mult:
-                    row_u[v] = row_u.get(v, 0) + mult
-                    row_v[u] = row_v.get(u, 0) + mult
+                if v in row_u:  # rows are symmetric, so u is in row_v too
+                    row_u[v] += mult
+                    row_v[u] += mult
+                elif mult:
+                    row_u[v] = row_v[u] = +mult  # an int subclass is stored as a plain int
+                    in_order = in_order and (v > last_v if u == last_u else last_u < u < v)
+                    last_u, last_v = u, v
         except TypeError as exc:  # an unhashable endpoint, or an entry or edge list of the wrong type
             raise GraphError(f"malformed edge entry {entry!r}: {exc}") from None
-        for v, nbrs in adj.items():
-            keys = list(nbrs)
-            order = sorted(keys)
-            if keys != order:  # a row filled in sorted order is kept as it is
-                adj[v] = {x: nbrs[x] for x in order}
+        if not in_order:  # sort the rows; a row filled in sorted order is kept as it is
+            for v, nbrs in adj.items():
+                keys = list(nbrs)
+                order = sorted(keys)
+                if keys != order:
+                    adj[v] = {x: nbrs[x] for x in order}
         self._weights = wt
         self._adj = adj
         self._vertices = tuple(wt)

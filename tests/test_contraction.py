@@ -532,6 +532,28 @@ class TestOracle:
             for g in family
         )
 
+    def test_oracle_runs_without_the_search_code(self, monkeypatch):
+        # With the kernel, the viability rules, the search, the replay and
+        # contract all broken, the oracle must answer as before.
+        rng = random.Random(20261019)
+        verts = ("v1", "v2", "v3", "v4")
+        family = []
+        for _ in range(200):
+            names = verts[: rng.randint(1, 4)]
+            weights = {v: rng.randint(0, 5) for v in names}
+            family.append(WeightedMultigraph(weights, [(u, v, rng.randint(0, 3)) for u, v in itertools.combinations(names, 2)]))
+        expected = [brute_force_oracle(g, max_total_multiplicity=18) for g in family]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle called the code it checks")
+
+        for name in ("_admissible", "_viability", "_child_row", "_search", "_Replay", "contract"):
+            monkeypatch.setattr(contraction, name, broken)
+        assert brute_force_oracle(builtin("example-G")) is False
+        assert brute_force_oracle(builtin("K1")) is True
+        assert [brute_force_oracle(g, max_total_multiplicity=18) for g in family] == expected
+        assert True in expected and False in expected
+
 
 class TestLift:
     def test_identity_embedding_preserves_steps(self):

@@ -99,6 +99,30 @@ def test_derived_graphs_keep_the_sorted_layout(g, data):
             assert state.mult(x, y) == h.multiplicity(x, y)
 
 
+@given(graphs(max_vertices=7), st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_constructor_ignores_how_the_input_is_listed(g, data):
+    # The same graph listed any other way: entries shuffled, each with
+    # either orientation, some multiplicities split over two entries or
+    # written as repeated 2-tuples, zero-multiplicity entries mixed in, and
+    # the weights inserted in shuffled order.  ``g`` is the canonical build.
+    entries = []
+    for u, v, m in g.edge_items():
+        k = data.draw(st.integers(0, m - 1))
+        for part in (k, m - k) if k else (m,):
+            x, y = data.draw(st.sampled_from([(u, v), (v, u)]))
+            entries += [(x, y)] * part if part <= 2 and data.draw(st.booleans()) else [(x, y, part)]
+    pairs = list(itertools.permutations(g.vertices, 2))
+    if pairs:
+        entries += [(x, y, 0) for x, y in data.draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    entries = data.draw(st.permutations(entries))
+    weights = {v: g.weight(v) for v in data.draw(st.permutations(g.vertices))}
+    h = WeightedMultigraph(weights, entries)
+    assert h == g
+    assert all(h.neighbors(x) == g.neighbors(x) for x in g.vertices)
+    assert_sorted_layout(h)
+
+
 @given(certifiable_multipartite_graphs(), st.data())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_absorbed_graph_keeps_the_sorted_layout(g, data):
