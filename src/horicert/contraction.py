@@ -33,34 +33,25 @@ partition of the input's vertices into merged groups, as one int of 4
 bits per vertex, which fixes the state exactly and needs no isomorphism
 test.
 
-Verification and absorption replay their steps without copying or
-rewriting the graph: they keep, for each current vertex, the group of
-original vertices merged into it, and read a multiplicity as the sum of
-the original multiplicities between two groups.  Each pair of original
-vertices is summed by the merge that joins it and by no other, so
-``m - 1`` steps on ``m`` vertices cost O(m^2) in total.  Absorption
-then builds its reduced graph, at most eight vertices, once through the
-public constructor.  :func:`contract`, the public one-step function, also
-builds its child through that constructor, from the parent's edges with
-the pair renamed; neither the search nor verification calls it.
-:meth:`ContractionCertificate.replay` calls it once per step and yields
-each graph before it builds the next, so printing or drawing a
-certificate holds two graphs at a time, not all of them.
+Verification and absorption replay their steps on merge groups of the
+input (see :class:`_Replay`), never copying or rewriting its rows, in
+O(m^2) time in total for ``m`` vertices.  :func:`contract`, the public
+one-step function, builds its child through the checking constructor;
+neither the search nor verification calls it, and
+:meth:`ContractionCertificate.replay` calls it once per step.
 
 The rule above is encoded once, in ``_admissible``, for the search,
 verification, absorption and :func:`feasible_l_range`.  The oracle is a
 second, literal encoding that shares no code with it or with
 :func:`contract`, so it can catch a fault in either.  The seed
 certificates ``K1``..``K4`` and their graphs live only as JSON under
-``fixtures/``.  :func:`lift_certificate` verifies a certificate object
-once while it lives; the fixtures are parsed once per process, so each
-seed is verified once per process, and every certificate
-:func:`contract_multipartite` builds is still verified in full.
+``fixtures/``.  :func:`lift_certificate` verifies its input on every
+call; :func:`contract_multipartite` renames a seed's steps unchecked and
+verifies each certificate it builds once, in full.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Container, Iterable, Iterator, Mapping
@@ -635,9 +626,6 @@ def _oracle_merge(wt: list[int], m: list[list[int]], a: int, b: int) -> tuple[li
 
 # ------------------------------------------------------------------ lifting
 
-# The certificates lift_certificate has verified, by identity, while they live.
-_VERIFIED: weakref.WeakValueDictionary[int, ContractionCertificate] = weakref.WeakValueDictionary()
-
 
 def lift_certificate(
     cert: ContractionCertificate,
@@ -650,51 +638,49 @@ def lift_certificate(
     submultigraph of ``g`` via ``embedding``, the same pair sequence with
     the same ``l`` values is admissible in ``g``: weights and
     multiplicities only ever grow under the embedding, and they keep
-    growing step by step because contraction adds them up.
-
-    ``cert`` is verified the first time this function sees that object,
-    and not again while it lives: a certificate is immutable, so a second
-    verification could only give the same answer.  So a seed that
-    :func:`contract_multipartite` lifts on every call, parsed once per
-    process by :func:`horicert.fixtures.load_certificate`, is verified
-    once per process; an equal copy is another object and is verified on
-    its own.
+    growing step by step because contraction adds them up.  Both are
+    checked on every call.
     """
     if not is_spanning_submultigraph(cert.initial, g, embedding):
         raise NotSpanningError("embedding does not exhibit a spanning submultigraph")
-    if _VERIFIED.get(id(cert)) is not cert:
-        if not verify_certificate(cert):
-            raise GraphError("certificate does not verify for its own initial graph")
-        _VERIFIED[id(cert)] = cert
-    phi = dict(embedding)
-    live = set(g.vertices)
+    if not verify_certificate(cert):
+        raise GraphError("certificate does not verify for its own initial graph")
+    return ContractionCertificate(g, _rename_steps(cert.steps, dict(embedding), set(g.vertices)))
+
+
+def _rename_steps(steps: Iterable[ContractionStep], phi: dict[str, str], live: set[str]) -> tuple[ContractionStep, ...]:
+    """``steps`` with each pair renamed by ``phi`` and each merged vertex
+    named by the smallest fresh ``m<k>`` not in ``live``, the current
+    vertices; both are updated as the steps go."""
     out = []
     name_index = 1
-    for step in cert.steps:
+    for step in steps:
         v, w = step.pair
-        gv, gw = phi[v], phi[w]
+        gv, gw = phi.pop(v), phi.pop(w)
         name_index = _fresh_index(live, name_index)
-        gm = f"m{name_index}"
+        gm = phi[step.merged] = f"m{name_index}"
         name_index += 1
         live -= {gv, gw}
         live.add(gm)
-        del phi[v], phi[w]
-        phi[step.merged] = gm
         out.append(ContractionStep((gv, gw), step.l, gm))
-    return ContractionCertificate(g, tuple(out))
+    return tuple(out)
 
 
 # ------------------------------------------------------------------ multipartite procedure
 
 
-def _require_multipartite(g: WeightedMultigraph) -> Partition:
+def _require_multipartite(g: WeightedMultigraph, min_rdeg: int) -> Partition:
+    """``g``'s partition, once ``g`` is completely multipartite and each
+    vertex, in order, has weight >= 2 and reduced degree >= ``min_rdeg``."""
     part = multipartite_partition(g)
     if part is None:
         triple = find_forbidden_triple(g)
-        raise PreconditionError(
-            f"graph is not completely multipartite; forbidden triple {triple}",
-            witness=triple,
-        )
+        raise PreconditionError(f"graph is not completely multipartite; forbidden triple {triple}", witness=triple)
+    for v in g.vertices:
+        if g.weight(v) < 2:
+            raise PreconditionError(f"vertex {v!r} has weight {g.weight(v)} < 2", witness=v)
+        if g.rdeg(v) < min_rdeg:
+            raise PreconditionError(f"vertex {v!r} has reduced degree {g.rdeg(v)} < {min_rdeg}", witness=v)
     return part
 
 
@@ -716,10 +702,7 @@ def absorb_submultigraph(
     for v in h_set:
         if v not in g:
             raise UnknownVertexError(f"unknown vertex {v!r}")
-    part = _require_multipartite(g)
-    for v in g.vertices:
-        if g.weight(v) < 2:
-            raise PreconditionError(f"vertex {v!r} has weight {g.weight(v)} < 2", witness=v)
+    part = _require_multipartite(g, 0)
     limit = len(h_set) - 4
     for cls in part.classes:
         inside = tuple(sorted(cls & h_set))
@@ -728,23 +711,29 @@ def absorb_submultigraph(
                 f"mutually non-adjacent set {inside} inside the kept set exceeds size {limit}",
                 witness=inside,
             )
-    steps: list[ContractionStep] = []
-    state = _Replay(g)
     kept = sorted(h_set)
-    # Every merge keeps the kept vertex's id, so the vertices left outside
-    # are those of g not yet absorbed; they go smallest first, each into
-    # its smallest adjacent kept vertex.
-    for w in [x for x in g.vertices if x not in h_set]:
+    steps, state = _absorb(g, kept)
+    edges = [(u, v, state.mult(u, v)) for i, u in enumerate(kept) for v in kept[i + 1:]]
+    return steps, WeightedMultigraph({x: state.weights[x] for x in kept}, edges)
+
+
+def _absorb(g: WeightedMultigraph, kept: list[str]) -> tuple[tuple[ContractionStep, ...], _Replay]:
+    """The absorption steps into the sorted vertex list ``kept``, and the
+    replay they leave.  Every merge keeps the kept vertex's id, so the
+    vertices left outside are those of ``g`` not yet absorbed; they go
+    smallest first, each into its smallest adjacent kept vertex."""
+    state = _Replay(g)
+    steps = []
+    for w in g.vertices:
+        if w in kept:
+            continue
         v, mult = next(((u, m) for u in kept if (m := state.mult(w, u))), (None, 0))
         bounds = None if v is None else state.admissible(w, v, mult)
-        if bounds is None or not bounds[0] == 0 <= bounds[1]:
-            raise PreconditionError(
-                f"absorption step for {w!r} is not admissible", witness=w
-            )  # unreachable under the checked preconditions
+        if bounds is None or not bounds[0] == 0 <= bounds[1]:  # unreachable under the kept set's bound
+            raise PreconditionError(f"absorption step for {w!r} is not admissible", witness=w)
         steps.append(ContractionStep((w, v), 0, v))
         state.merge(w, v, v, mult)
-    edges = [(u, v, state.mult(u, v)) for i, u in enumerate(kept) for v in kept[i + 1:]]
-    return tuple(steps), WeightedMultigraph({x: state.weights[x] for x in kept}, edges)
+    return tuple(steps), state
 
 
 def contract_multipartite(g: WeightedMultigraph) -> ContractionCertificate:
@@ -754,9 +743,10 @@ def contract_multipartite(g: WeightedMultigraph) -> ContractionCertificate:
     vertices so that one of the seed graphs ``K1``..``K4`` spans the
     absorbed graph, contracts everything else into the chosen set with
     ``l = 0`` steps, and finishes by lifting the seed's certificate along
-    the spanning embedding.  The seed is verified by its first lift in the
-    process; the whole certificate built here is verified on every call.
-    Five shapes cover all class counts:
+    the spanning embedding.  It partitions ``g`` once and builds no
+    reduced graph; the seed and the embedding are checked only by the one
+    verification of the whole certificate, on every call.  Five shapes
+    cover all class counts:
 
     * five or more classes: one vertex from each of five classes (``K1``);
     * four classes: 1+1+2+2 representatives (``K2``);
@@ -764,51 +754,31 @@ def contract_multipartite(g: WeightedMultigraph) -> ContractionCertificate:
     * three classes, one singleton: 1+3+3 (``K3``);
     * two classes: 4+4 (``K4``).
     """
-    part = _require_multipartite(g)
-    for v in g.vertices:
-        if g.weight(v) < 2:
-            raise PreconditionError(f"vertex {v!r} has weight {g.weight(v)} < 2", witness=v)
-        if g.rdeg(v) < 4:
-            raise PreconditionError(f"vertex {v!r} has reduced degree {g.rdeg(v)} < 4", witness=v)
+    part = _require_multipartite(g, 4)
     classes = [sorted(c) for c in part.classes]  # already (size, min)-sorted
     k = len(classes)
+    # picks[i] becomes the seed's vertex v<i + 1>.
     if k >= 5:
-        shape = "K1"
-        picks = [classes[i][0] for i in range(5)]
+        shape, picks = "K1", [c[0] for c in classes[:5]]
     elif k == 4:
-        shape = "K2"
-        picks = [
-            classes[0][0], classes[2][0], classes[3][0],
-            classes[1][0], classes[2][1], classes[3][1],
-        ]
+        c0, c1, c2, c3 = classes
+        shape, picks = "K2", [c0[0], c2[0], c3[0], c1[0], c2[1], c3[1]]
     elif k == 3 and len(classes[0]) >= 2:
-        shape = "K2"
-        picks = [
-            classes[0][0], classes[1][0], classes[2][0],
-            classes[0][1], classes[1][1], classes[2][1],
-        ]
+        c0, c1, c2 = classes
+        shape, picks = "K2", [c0[0], c1[0], c2[0], c0[1], c1[1], c2[1]]
     elif k == 3:
-        shape = "K3"
-        picks = [
-            classes[0][0],
-            classes[1][0], classes[2][0],
-            classes[1][1], classes[2][1],
-            classes[1][2], classes[2][2],
-        ]
+        c0, c1, c2 = classes
+        shape, picks = "K3", [c0[0], c1[0], c2[0], c1[1], c2[1], c1[2], c2[2]]
     elif k == 2:
-        shape = "K4"
-        picks = [
-            classes[0][0], classes[1][0], classes[0][1], classes[1][1],
-            classes[0][2], classes[1][2], classes[0][3], classes[1][3],
-        ]
+        c0, c1 = classes
+        shape, picks = "K4", [c0[0], c1[0], c0[1], c1[1], c0[2], c1[2], c0[3], c1[3]]
     else:
         raise PreconditionError("graph has a single non-adjacency class, so no edges", witness=None)
     from .fixtures import load_certificate  # fixtures imports this module
 
-    prefix, reduced = absorb_submultigraph(g, picks)
-    embedding = {f"v{i + 1}": picks[i] for i in range(len(picks))}
-    lifted = lift_certificate(load_certificate(shape), reduced, embedding)
-    cert = ContractionCertificate(g, prefix + lifted.steps)
+    prefix, _ = _absorb(g, sorted(picks))
+    embedding = {f"v{i}": p for i, p in enumerate(picks, 1)}
+    cert = ContractionCertificate(g, prefix + _rename_steps(load_certificate(shape).steps, embedding, set(picks)))
     if not verify_certificate(cert):
         raise GraphError("internal error: constructed certificate failed verification")
     return cert

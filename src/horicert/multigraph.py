@@ -33,6 +33,12 @@ class BoundExceededError(GraphError):
     """Input exceeds a configured size bound."""
 
 
+# The most edges to_dot draws: it writes a line per parallel edge, and a shorthand
+# like fn:N=1000000000:a=1:b=3 asks for billions.  100,000 lines (about 1.6 MB)
+# are three times the 32,640 of the largest line arrangement, lines:P2:m=256.
+MAX_DOT_EDGES = 100_000
+
+
 class WeightedMultigraph:
     """Immutable multigraph with integer vertex weights.
 
@@ -241,14 +247,22 @@ class WeightedMultigraph:
         return cls(weights, edge_entries)
 
     def to_dot(self, name: str = "G") -> str:
-        """Render as DOT: weight inside the node, id outside, one arc per edge."""
-        lines = [f'graph "{name}" {{', "  node [shape=circle];"]
-        for v in self._vertices:
-            lines.append(f'  "{v}" [label="{self._weights[v]}", xlabel="{v}"];')
+        """Render as DOT: weight inside the node, id outside, one arc per edge,
+        at most ``MAX_DOT_EDGES``; quoted strings escape ``\\`` and ``"``."""
+        total = self.total_multiplicity()
+        if total > MAX_DOT_EDGES:
+            raise BoundExceededError(f"DOT output limited to {MAX_DOT_EDGES} edges, got {total}")
+        q = {v: _dot_quote(v) for v in self._vertices}
+        lines = [f"graph {_dot_quote(name)} {{", "  node [shape=circle];"]
+        lines += [f'  {q[v]} [label="{w}", xlabel={q[v]}];' for v, w in self._weights.items()]
         for u, v, m in self.edge_items():
-            lines.extend([f'  "{u}" -- "{v}";'] * m)
+            lines.extend([f"  {q[u]} -- {q[v]};"] * m)
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_quote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,16 @@ class TestGraphCommands:
         assert out.count(" -- ") == 10
         assert out.count('label="2"') == 5
 
+    def test_graph_dual_dot_bound(self, capsys):
+        # three billion arcs from a 26-byte shorthand: refused before any output
+        code, out, err = invoke(capsys, "graph-dual", "fn:N=1000000000:a=1:b=3", "--format", "dot")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "DOT output limited to 100000 edges" in err
+        code, out, _ = invoke(capsys, "graph-dual", "lines:P2:m=256", "--format", "dot")
+        assert code == 0
+        assert out.count(" -- ") == 32_640
+
     def test_graph_dual_text(self, capsys):
         code, out, _ = invoke(capsys, "graph-dual", "lines:P2:m=5")
         assert code == 0
@@ -221,6 +231,30 @@ class TestContractDecide:
         assert code == 0
         files = sorted(p.name for p in out_dir.iterdir())
         assert files == [f"step_{i:02d}.dot" for i in range(5)]
+
+    def test_dot_dir_bound(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(WeightedMultigraph({"a": 5, "b": 5}, [("a", "b", 10**6)]).to_json_dict()))
+        out_dir = tmp_path / "steps"
+        code, out, err = invoke(capsys, "contract-decide", "--graph", str(path), "--dot-dir", str(out_dir))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "DOT output limited" in err
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+    def test_dot_dir_escapes_ids(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(WeightedMultigraph({'a" -- "x': 5, "b": 5}, [('a" -- "x', "b", 4)]).to_json_dict()))
+        out_dir = tmp_path / "steps"
+        code, _, _ = invoke(capsys, "contract-decide", "--graph", str(path), "--dot-dir", str(out_dir))
+        assert code == 0
+        lines = (out_dir / "step_00.dot").read_text(encoding="utf-8").splitlines()
+        assert lines[2:] == [
+            '  "a\\" -- \\"x" [label="5", xlabel="a\\" -- \\"x"];',
+            '  "b" [label="5", xlabel="b"];',
+            *['  "a\\" -- \\"x" -- "b";'] * 4,
+            "}",
+        ]
 
     def test_malformed_graph_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

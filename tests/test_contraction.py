@@ -608,22 +608,15 @@ class TestLift:
         with pytest.raises(GraphError, match="does not verify"):
             lift_certificate(bad, seed.initial, identity)  # nor the second time
 
-    def test_seed_is_verified_once_per_process(self, monkeypatch):
+    def test_input_is_verified_on_every_call(self, monkeypatch):
+        seed = load_certificate("K1")
+        identity = {v: v for v in seed.initial.vertices}
         verified = []
         real = contraction.verify_certificate
-
-        def counting(cert, *args, **kwargs):
-            verified.append(cert)
-            return real(cert, *args, **kwargs)
-
-        monkeypatch.setattr(contraction, "verify_certificate", counting)
-        monkeypatch.setattr(contraction, "_VERIFIED", type(contraction._VERIFIED)())  # as in a new process
-        seed = load_certificate("K1")
-        graphs = [dual_graph(general_lines(7)), dual_graph(general_lines(9))]
-        certs = [contract_multipartite(g) for g in graphs]
-        assert [c is seed for c in verified] == [True, False, False]  # the seed, then each whole certificate
-        assert verified[1:] == certs
-        assert all(map(real, certs))
+        monkeypatch.setattr(contraction, "verify_certificate", lambda cert: verified.append(cert) or real(cert))
+        lift_certificate(seed, seed.initial, identity)
+        lift_certificate(seed, seed.initial, identity)
+        assert len(verified) == 2 and all(c is seed for c in verified)
 
 
 class TestAbsorb:
@@ -750,6 +743,35 @@ class TestContractMultipartite:
         assert cert.initial.vertex_count == vertices
         assert len(cert.steps) == vertices - 1
         assert verify_certificate(cert)
+
+    def test_one_partition_and_one_verification_per_call(self, monkeypatch):
+        graphs = [dual_graph(general_lines(7)), dual_graph(general_lines(9)), dual_graph(fibers_and_sections(0, 4, 4))]
+        for shape in ("K1", "K4"):
+            load_certificate(shape)  # parsed once per process, before counting
+        calls = []
+        for name in ("multipartite_partition", "verify_certificate"):
+            real = getattr(contraction, name)
+            monkeypatch.setattr(contraction, name, lambda x, name=name, real=real: calls.append((name, id(x))) or real(x))
+        built = []
+        real_init = WeightedMultigraph.__init__
+        monkeypatch.setattr(WeightedMultigraph, "__init__", lambda self, *args: built.append(args) or real_init(self, *args))
+        certs = [contract_multipartite(g) for g in graphs]
+        # Per call: the partition of g, then the whole certificate returned,
+        # never a seed on its own; and no reduced graph is built.
+        assert calls == [
+            call for g, cert in zip(graphs, certs)
+            for call in (("multipartite_partition", id(g)), ("verify_certificate", id(cert)))
+        ]
+        assert built == []
+
+    def test_the_one_verification_rejects_a_bad_seed(self, monkeypatch):
+        seed = load_certificate("K1")
+        *head, last = seed.steps
+        assert last.l == 3  # the last step needs l >= 3 (see decide_contractible)
+        bad = ContractionCertificate(seed.initial, (*head, ContractionStep(last.pair, 2, last.merged)))
+        monkeypatch.setattr("horicert.fixtures.load_certificate", lambda shape: bad)
+        with pytest.raises(GraphError, match="failed verification"):
+            contract_multipartite(dual_graph(general_lines(7)))
 
     def test_rdeg_witness(self):
         g = dual_graph(general_lines(4))

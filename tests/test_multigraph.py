@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from horicert import (
+    BoundExceededError,
     GraphError,
     UnknownVertexError,
     WeightedMultigraph,
@@ -12,8 +14,10 @@ from horicert import (
     fibers_and_sections,
     find_forbidden_triple,
     is_spanning_submultigraph,
+    general_lines,
     multipartite_partition,
 )
+from horicert.multigraph import MAX_DOT_EDGES
 
 
 def path(n: int) -> WeightedMultigraph:
@@ -338,3 +342,31 @@ class TestFormats:
         assert dot.count(" -- ") == 6
         assert '"v1" [label="3"' in dot
         assert dot.startswith('graph "example-G" {')
+
+    def test_dot_edge_bound(self):
+        at = WeightedMultigraph({"a": 5, "b": 5}, [("a", "b", MAX_DOT_EDGES)])
+        assert at.to_dot().count(" -- ") == MAX_DOT_EDGES
+        over = WeightedMultigraph({"a": 5, "b": 5}, [("a", "b", MAX_DOT_EDGES + 1)])
+        with pytest.raises(BoundExceededError, match=f"DOT output limited to {MAX_DOT_EDGES} edges, got {MAX_DOT_EDGES + 1}"):
+            over.to_dot()
+        # the largest line arrangement still renders
+        assert dual_graph(general_lines(256)).to_dot().count(" -- ") == 32_640
+
+    def test_dot_strings_are_escaped(self):
+        ids = ['a" -- "x', "b\\"]
+        g = WeightedMultigraph({ids[0]: 5, ids[1]: 5}, [(ids[0], ids[1], 4)])
+        dot = g.to_dot('name "q" \\')
+        for line in dot.splitlines():
+            assert re.sub(r"\\.", "", line).count('"') % 2 == 0, line
+        quoted = [re.sub(r"\\(.)", r"\1", q) for q in re.findall(r'"((?:[^"\\]|\\.)*)"', dot)]
+        assert quoted[0] == 'name "q" \\'
+        assert set(quoted[1:]) == {*ids, "5"}
+        shapes = [re.sub(r'"(?:[^"\\]|\\.)*"', "Q", line) for line in dot.splitlines()]
+        assert shapes == ["graph Q {", "  node [shape=circle];"] + ["  Q [label=Q, xlabel=Q];"] * 2 + ["  Q -- Q;"] * 4 + ["}"]
+        # ids without a quote or a backslash are written as they are
+        plain = WeightedMultigraph({"L1": 2, "m10": 3}, [("L1", "m10", 2)])
+        assert plain.to_dot("lines:P2:m=5") == (
+            'graph "lines:P2:m=5" {\n  node [shape=circle];\n'
+            '  "L1" [label="2", xlabel="L1"];\n  "m10" [label="3", xlabel="m10"];\n'
+            '  "L1" -- "m10";\n  "L1" -- "m10";\n}\n'
+        )
