@@ -18,7 +18,7 @@ from .contraction import (
     decide_contractible,
     verify_certificate,
 )
-from .multigraph import BoundExceededError, GraphError, WeightedMultigraph
+from .multigraph import MAX_DOT_EDGES, BoundExceededError, GraphError, WeightedMultigraph
 from .pipeline import (
     cyclic_cover_factorization,
     decide_plane_double_cover,
@@ -135,10 +135,25 @@ def _certificate_document(cert: ContractionCertificate, fmt: str) -> str:
     return "\n".join(lines)
 
 
+# The most arcs --dot-dir writes in all, counted as (steps + 1) times the initial
+# graph's edges: contraction never adds edges, so no later graph has more.  The
+# largest certificate `theorem` emits, p2 --d 512, counts 256 x 32,640 = 8,355,840
+# (5,560,185 arcs drawn, 98 MB) and fits; 256 graphs near MAX_DOT_EDGES would not.
+MAX_DOT_DIR_EDGES = 10_000_000
+
+
 def _write_step_dots(cert: ContractionCertificate, directory: str) -> None:
+    # Both bounds are checked before anything is created.
+    total, graphs = cert.initial.total_multiplicity(), len(cert.steps) + 1
+    if total > MAX_DOT_EDGES:
+        raise BoundExceededError(f"DOT output limited to {MAX_DOT_EDGES} edges, got {total}")
+    if graphs * total > MAX_DOT_DIR_EDGES:
+        raise BoundExceededError(
+            f"--dot-dir output limited to {MAX_DOT_DIR_EDGES} edges in all, got {graphs} graphs of up to {total}"
+        )
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    width = max(2, len(str(len(cert.steps))))  # names sort in step order
+    width = max(2, len(str(graphs - 1)))  # names sort in step order
     for i, g in enumerate(cert.replay()):
         name = f"step_{i:0{width}d}"
         (out / f"{name}.dot").write_text(g.to_dot(name), encoding="utf-8")

@@ -560,6 +560,7 @@ def _search(s: tuple, key: int, name_index: int, anchors: int) -> list[Contracti
 
 
 ORACLE_MAX_VERTICES = 5
+_ORACLE_PAIRS = [[(a, b) for a in range(n) for b in range(a + 1, n)] for n in range(ORACLE_MAX_VERTICES + 1)]
 
 
 def brute_force_oracle(g: WeightedMultigraph, max_total_multiplicity: int = 12) -> bool:
@@ -567,53 +568,52 @@ def brute_force_oracle(g: WeightedMultigraph, max_total_multiplicity: int = 12) 
 
     Evaluates the definition literally, on its own weight list and
     multiplicity matrix: ``_oracle_exhaust`` tries every adjacent pair of
-    every state, ``_oracle_some_l`` every ordering and ``l`` of a pair, and
-    ``_oracle_merge`` merges it.  Nothing else calls these three, and they
-    share no code with the search, :func:`contract` or the admissibility
-    kernel, so agreement with the search checks both.  A pair with some
-    admissible candidate is merged once, since the merged graph depends on
-    neither the ordering nor ``l``.  No memoization and no pruning.  Size
-    bounds keep the blow-up harmless: the vertex bound
-    ``ORACLE_MAX_VERTICES`` is fixed, the multiplicity bound can be raised
-    for exhaustive comparison runs.
+    every state (from ``_ORACLE_PAIRS``), every ordering and every ``l``,
+    and ``_oracle_merge`` merges it.  They share no code with the search,
+    :func:`contract` or the admissibility kernel, so agreement with the
+    search checks both.  No memo and no pruning; each shortcut is exact.
+    A pair with an admissible candidate is merged once: the merged graph
+    depends on neither the ordering nor ``l``.  A two-vertex state is
+    answered by its one pair, whose merge leaves one vertex.  The root's
+    degrees, summed once, also give the multiplicity bound.  The bystander
+    rule is read once per state: a pair must hold every vertex of degree
+    below 3, so a state with more than two of them has no pair.  The
+    vertex bound ``ORACLE_MAX_VERTICES`` is fixed; the multiplicity bound
+    can be raised for exhaustive comparison runs.
     """
     if g.vertex_count > ORACLE_MAX_VERTICES:
         raise BoundExceededError(f"oracle limited to {ORACLE_MAX_VERTICES} vertices")
     names = g.vertices
     matrix = [[row.get(y, 0) for y in names] for row in g._adj.values()]
-    if sum(map(sum, matrix)) > 2 * max_total_multiplicity:
+    deg = [sum(row) for row in matrix]
+    if sum(deg) > 2 * max_total_multiplicity:
         raise BoundExceededError(f"oracle limited to total multiplicity {max_total_multiplicity}")
-    return _oracle_exhaust(list(g._weights.values()), matrix)
+    return _oracle_exhaust(list(g._weights.values()), matrix, deg)
 
 
-def _oracle_exhaust(wt: list[int], m: list[list[int]]) -> bool:
+def _oracle_exhaust(wt: list[int], m: list[list[int]], deg: list[int]) -> bool:
     n = len(wt)
     if n == 1:
         return True
-    deg = [sum(row) for row in m]
     low = [x for x in range(n) if deg[x] < 3]
-    for a, row in enumerate(m):
-        for b in range(a + 1, n):
-            k = row[b]
-            if (
-                k
-                and (not low or all(x == a or x == b for x in low))  # every bystander has degree >= 3
-                and _oracle_some_l(wt, deg, a, b, k)
-                and _oracle_exhaust(*_oracle_merge(wt, m, a, b))
-            ):
-                return True
+    if (lows := len(low)) > 2:  # every pair leaves a bystander of degree below 3
+        return False
+    for a, b in _ORACLE_PAIRS[n]:
+        k = m[a][b]
+        if not k or lows and (a in low) + (b in low) < lows:  # no edge, or a low bystander
+            continue
+        wa, wb, da, db = wt[a], wt[b], deg[a] - k, deg[b] - k
+        for l in range(k):  # orderings (a, b) and (b, a)
+            if (wa >= l + 1 and wb >= l + 2 or wb >= l + 1 and wa >= l + 2) and da + l >= 3 and db + l >= 3:
+                break
+        else:
+            continue
+        if n == 2 or _oracle_exhaust(*_oracle_merge(wt, m, a, b)):
+            return True
     return False
 
 
-def _oracle_some_l(wt: list[int], deg: list[int], a: int, b: int, k: int) -> bool:
-    for x, y in ((a, b), (b, a)):
-        for l in range(k):
-            if wt[x] >= l + 1 and wt[y] >= l + 2 and deg[x] - k + l >= 3 and deg[y] - k + l >= 3:
-                return True
-    return False
-
-
-def _oracle_merge(wt: list[int], m: list[list[int]], a: int, b: int) -> tuple[list[int], list[list[int]]]:
+def _oracle_merge(wt: list[int], m: list[list[int]], a: int, b: int) -> tuple[list[int], list[list[int]], list[int]]:
     # a < b: deleting b first keeps a's index.  The merged vertex comes last.
     rows = [row + [row[a] + row[b]] for x, row in enumerate(m) if x != a and x != b]
     rows.append([p + q for p, q in zip(m[a], m[b])] + [0])
@@ -621,7 +621,7 @@ def _oracle_merge(wt: list[int], m: list[list[int]], a: int, b: int) -> tuple[li
         del row[b], row[a]
     wt = wt + [wt[a] + wt[b]]
     del wt[b], wt[a]
-    return wt, rows
+    return wt, rows, [sum(row) for row in rows]
 
 
 # ------------------------------------------------------------------ lifting

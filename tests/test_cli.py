@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import sys
 import time
@@ -240,7 +241,7 @@ class TestContractDecide:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "DOT output limited" in err
-        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_dot_dir_escapes_ids(self, capsys, tmp_path):
         path = tmp_path / "g.json"
@@ -359,6 +360,22 @@ class TestCertVerify:
         assert [p.name for p in files] == [f"step_{i:03d}.dot" for i in range(102)]
         for p, g in zip(files, cert.replay(), strict=True):
             assert p.read_text(encoding="utf-8") == g.to_dot(p.stem)
+
+    def test_dot_dir_total_bound(self, capsys, tmp_path):
+        # Each of the 256 graphs has at most 3 x 32,640 = 97,920 edges, under the
+        # per-graph bound, but all of them together would be about 25 M arcs.
+        names = [f"c{i:03d}" for i in range(256)]
+        g = WeightedMultigraph({v: 3 for v in names}, [(u, v, 3) for u, v in itertools.combinations(names, 2)])
+        cert = contract_multipartite(g)
+        assert (len(cert.steps) + 1) * g.total_multiplicity() == 256 * 97_920
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert.to_json_dict()))
+        out_dir = tmp_path / "steps"
+        code, out, err = invoke(capsys, "cert-verify", str(path), "--dot-dir", str(out_dir))
+        assert code == 3
+        assert out == ""
+        assert err == "horicert: error: --dot-dir output limited to 10000000 edges in all, got 256 graphs of up to 97920\n"
+        assert not out_dir.exists()
 
     def test_largest_theorem_certificate_verifies(self, capsys, tmp_path):
         code, out, _ = invoke(capsys, "theorem", "p2", "--d", "512", "--format", "json")

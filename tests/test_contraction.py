@@ -477,8 +477,28 @@ class TestOracle:
     def test_singleton(self):
         assert brute_force_oracle(WeightedMultigraph({"a": 1}))
 
+    def test_empty_graph(self):
+        assert brute_force_oracle(WeightedMultigraph({})) is False
+
     def test_two_vertices(self):
         assert not brute_force_oracle(two_vertex(3, 3, 2))
+
+    def test_verdicts_are_pinned(self):
+        # 3,000 seeded graphs of 2-5 vertices, weights 0..5, multiplicities
+        # 0..4 and total multiplicity at most 30.  The digest was taken from
+        # the oracle's first encoding, before its per-state shortcuts, so it
+        # checks them against that encoding without keeping it.
+        rng = random.Random("oracle-pin")
+        verdicts = []
+        while len(verdicts) < 3000:
+            names = "abcde"[: rng.randint(2, 5)]
+            weights = {v: rng.randint(0, 5) for v in names}
+            edges = [(u, v, rng.randint(0, 4)) for u, v in itertools.combinations(names, 2)]
+            if sum(m for _, _, m in edges) <= 30:
+                verdicts.append("1" if brute_force_oracle(WeightedMultigraph(weights, edges), max_total_multiplicity=30) else "0")
+        verdicts = "".join(verdicts)
+        assert verdicts.count("1") == 430
+        assert hashlib.sha256(verdicts.encode()).hexdigest() == "720cece63997c672e8a54471d537e7daaf549324ff8cdef549a28b48962425b2"
 
     def test_seed_within_bounds(self):
         assert brute_force_oracle(builtin("K1"))
