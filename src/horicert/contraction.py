@@ -59,9 +59,9 @@ from typing import Container, Iterable, Iterator, Mapping
 from .multigraph import (
     BoundExceededError,
     GraphError,
-    Partition,
     UnknownVertexError,
     WeightedMultigraph,
+    _check_document,
     find_forbidden_triple,
     is_spanning_submultigraph,
     multipartite_partition,
@@ -105,6 +105,7 @@ class ContractionStep:
             pair, l, merged = data["pair"], data["l"], data["merged"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed step document: {exc}") from None
+        _check_document(data, "step", ("pair", "l", "merged"))
         if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(isinstance(x, str) for x in pair):
             raise GraphError(f"malformed step document: pair must be two vertex ids, got {pair!r}")
         if not isinstance(l, int) or isinstance(l, bool):
@@ -135,11 +136,6 @@ class ContractionCertificate:
             g = contract(g, step.pair, step.merged)
             yield g
 
-    def final_graph(self) -> WeightedMultigraph:
-        for g in self.replay():
-            pass
-        return g
-
     def to_json_dict(self) -> dict:
         return {
             "initial": self.initial.to_json_dict(),
@@ -149,11 +145,11 @@ class ContractionCertificate:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ContractionCertificate":
         try:
-            initial = WeightedMultigraph.from_json_dict(data["initial"])
-            steps = tuple(ContractionStep.from_json_dict(s) for s in data["steps"])
+            initial, steps = data["initial"], data["steps"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed certificate document: {exc}") from None
-        return cls(initial, steps)
+        _check_document(data, "certificate", ("initial", "steps"), steps=steps)
+        return cls(WeightedMultigraph.from_json_dict(initial), tuple(ContractionStep.from_json_dict(s) for s in steps))
 
 
 # ------------------------------------------------------------------ one step
@@ -669,7 +665,7 @@ def _rename_steps(steps: Iterable[ContractionStep], phi: dict[str, str], live: s
 # ------------------------------------------------------------------ multipartite procedure
 
 
-def _require_multipartite(g: WeightedMultigraph, min_rdeg: int) -> Partition:
+def _require_multipartite(g: WeightedMultigraph, min_rdeg: int) -> tuple[frozenset[str], ...]:
     """``g``'s partition, once ``g`` is completely multipartite and each
     vertex, in order, has weight >= 2 and reduced degree >= ``min_rdeg``."""
     part = multipartite_partition(g)
@@ -702,9 +698,8 @@ def absorb_submultigraph(
     for v in h_set:
         if v not in g:
             raise UnknownVertexError(f"unknown vertex {v!r}")
-    part = _require_multipartite(g, 0)
     limit = len(h_set) - 4
-    for cls in part.classes:
+    for cls in _require_multipartite(g, 0):
         inside = tuple(sorted(cls & h_set))
         if len(inside) > limit:
             raise PreconditionError(
@@ -754,8 +749,7 @@ def contract_multipartite(g: WeightedMultigraph) -> ContractionCertificate:
     * three classes, one singleton: 1+3+3 (``K3``);
     * two classes: 4+4 (``K4``).
     """
-    part = _require_multipartite(g, 4)
-    classes = [sorted(c) for c in part.classes]  # already (size, min)-sorted
+    classes = [sorted(c) for c in _require_multipartite(g, 4)]  # already (size, min)-sorted
     k = len(classes)
     # picks[i] becomes the seed's vertex v<i + 1>.
     if k >= 5:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 
@@ -171,10 +170,6 @@ class WeightedMultigraph:
         """Reduced degree: number of distinct adjacent vertices."""
         return len(self._row(v))
 
-    def adjacent_pairs(self) -> list[tuple[str, str]]:
-        """Sorted list of adjacent pairs ``(u, v)`` with ``u < v``."""
-        return [(u, v) for u, v, _ in self.edge_items()]
-
     def edge_items(self) -> Iterator[tuple[str, str, int]]:
         """Iterate ``(u, v, mult)`` with ``u < v`` in sorted order."""
         # Every row iterates in sorted order, so its entries after u are a suffix.
@@ -229,7 +224,8 @@ class WeightedMultigraph:
     def from_json_dict(cls, data: Mapping) -> "WeightedMultigraph":
         """Parse the ``{"vertices": [...], "edges": [...]}`` wire format.
 
-        Only unpacks the document: a missing key, a value of the wrong
+        Only unpacks the document: a missing key, an unknown field, a
+        ``vertices`` or ``edges`` that is not an array, a value of the wrong
         shape, an unhashable id or a repeated id raises :class:`GraphError`
         here, and the constructor checks ids, weights, endpoints and
         multiplicities as it does for every caller.
@@ -237,6 +233,7 @@ class WeightedMultigraph:
         try:
             vertices = data["vertices"]
             edges = data.get("edges", [])
+            _check_document(data, "graph", ("vertices", "edges"), vertices=vertices, edges=edges)
             items = [(item["id"], item["wt"]) for item in vertices]
             edge_entries = [(e["u"], e["v"], e["mult"]) for e in edges]
             weights = dict(items)
@@ -265,32 +262,24 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Partition of the vertex set of a completely multipartite graph.
-
-    Classes are the maximal sets of mutually non-adjacent vertices, stored
-    sorted by (size, smallest member).
-    """
-
-    classes: tuple[frozenset[str], ...]
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
-    def class_of(self, v: str) -> frozenset[str]:
-        for c in self.classes:
-            if v in c:
-                return c
-        raise UnknownVertexError(f"unknown vertex {v!r}")
+def _check_document(data: Mapping, what: str, known: tuple[str, ...], **arrays: object) -> None:
+    """Refuse a parsed document with a field outside ``known``, or with a
+    field named in ``arrays`` that holds anything but a list (a JSON array)."""
+    for key in data:
+        if key not in known:
+            raise GraphError(f"malformed {what} document: unknown field {key!r}")
+    for key, value in arrays.items():
+        if not isinstance(value, list):
+            raise GraphError(f"malformed {what} document: {key} must be an array, got {type(value).__name__}")
 
 
-def multipartite_partition(g: WeightedMultigraph) -> Partition | None:
+def multipartite_partition(g: WeightedMultigraph) -> tuple[frozenset[str], ...] | None:
     """Partition ``g`` into mutually non-adjacent classes, or ``None``.
 
-    Returns ``None`` exactly when ``g`` is not completely multipartite,
-    i.e. when some vertex is non-adjacent to two vertices that are
-    adjacent to each other.
+    The classes are the maximal sets of mutually non-adjacent vertices,
+    sorted by (size, smallest member).  Returns ``None`` exactly when ``g``
+    is not completely multipartite, i.e. when some vertex is non-adjacent
+    to two vertices that are adjacent to each other.
     """
     adj = g._adj
     n = len(adj)
@@ -311,8 +300,7 @@ def multipartite_partition(g: WeightedMultigraph) -> Partition | None:
                 return None
         blocks.append(frozenset(block))
         seen |= block
-    classes = sorted(blocks, key=lambda c: (len(c), min(c)))
-    return Partition(tuple(classes))
+    return tuple(sorted(blocks, key=lambda c: (len(c), min(c))))
 
 
 def find_forbidden_triple(g: WeightedMultigraph) -> tuple[str, str, str] | None:
@@ -359,19 +347,3 @@ def is_spanning_submultigraph(
         if m > g.multiplicity(embedding[u], embedding[v]):
             return False
     return True
-
-
-# ---------------------------------------------------------------------- builders
-
-
-def complete_multipartite(parts: Iterable[Iterable[str]], weight: int) -> WeightedMultigraph:
-    """Graph with one edge between every cross-part pair, constant weight."""
-    part_list = [list(p) for p in parts]
-    weights = {v: weight for p in part_list for v in p}
-    edges = [
-        (u, v)
-        for p, q in itertools.combinations(part_list, 2)
-        for u in p
-        for v in q
-    ]
-    return WeightedMultigraph(weights, edges)

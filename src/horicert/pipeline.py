@@ -20,7 +20,6 @@ from .arrangements import check_arrangement_smoothing, fibers_and_sections, gene
 from .multigraph import BoundExceededError
 from .report import Obligation, ObligationReport, Verdict, axiom, check, group
 from .surfaces import (
-    SPLIT,
     DivClass,
     P2,
     Surface,
@@ -120,10 +119,6 @@ _ANALYTIC_AXIOMS = (
 )
 
 
-def _genus_value(g) -> object:
-    return "SPLIT" if g is SPLIT else g
-
-
 def _decide_yes(surface: Surface, half: DivClass, full: DivClass, bounds: Obligation) -> ObligationReport:
     """The YES report: the passed degree bounds, arrangement smoothing,
     cover setup, the analytic axioms, and the Chern data and certificate
@@ -165,7 +160,7 @@ def _plane_obstruction(d: int, c1_sq: int) -> Obligation:
         detail="the pullback of a bitangent line is an elliptic curve",
         d=d,
         transverse_points=transverse,
-        pullback_genus=_genus_value(rh_pullback_genus(transverse)),
+        pullback_genus=rh_pullback_genus(transverse),
     )
 
 
@@ -179,7 +174,7 @@ def _ruled_obstruction(full: DivClass) -> Obligation:
             detail="a fiber tangent to the branch curve pulls back to genus <= 1",
             b=fiber_count,
             transverse_points=fiber_count - 2,
-            pullback_genus=_genus_value(rh_pullback_genus(fiber_count - 2)),
+            pullback_genus=rh_pullback_genus(fiber_count - 2),
         )
     if surface.N == 0:
         other_count = intersect(full, surface.section_class())
@@ -189,7 +184,7 @@ def _ruled_obstruction(full: DivClass) -> Obligation:
             detail="same tangent-fiber obstruction in the second ruling of F_0",
             a=other_count,
             transverse_points=other_count - 2,
-            pullback_genus=_genus_value(rh_pullback_genus(other_count - 2)),
+            pullback_genus=rh_pullback_genus(other_count - 2),
             inferred_by_symmetry=True,
         )
     neg_count = intersect(full, surface.negative_section_class())
@@ -198,7 +193,7 @@ def _ruled_obstruction(full: DivClass) -> Obligation:
         True,
         detail="the negative section meets the branch curve in <= 4 points, so pulls back to genus <= 1",
         negative_section_intersection=neg_count,
-        pullback_genus=_genus_value(rh_pullback_genus(neg_count)),
+        pullback_genus=rh_pullback_genus(neg_count),
     )
 
 

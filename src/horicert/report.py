@@ -85,7 +85,7 @@ class ObligationReport:
     attachments: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        nodes = [n for ob in self.obligations for n in ob.walk()]
+        nodes = self.all_nodes()
         if self.verdict is Verdict.YES and not all(n.passed for n in nodes):
             bad = [n.name for n in nodes if not n.passed]
             raise ValueError(f"YES verdict with failed obligations: {bad}")

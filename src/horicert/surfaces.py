@@ -283,17 +283,8 @@ def double_cover_chern(surface: Surface, half_class: DivClass) -> ChernData:
     return ChernData(c1_sq=c1_sq, c2=12 * chi - c1_sq, chi=chi)
 
 
-class _SplitCover:
-    """Marker for a double cover of a rational curve with empty branch
-    divisor: it falls apart into two disjoint rational copies."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "SPLIT"
-
-
-SPLIT = _SplitCover()
+# The genus of a split double cover: empty branch divisor, two disjoint rational copies.
+SPLIT = "SPLIT"
 
 
 def rh_pullback_genus(transverse_points: int):

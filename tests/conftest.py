@@ -68,6 +68,31 @@ def certifiable_multipartite_graphs(draw):
     return WeightedMultigraph(weights, edges)
 
 
+def complete_multipartite(parts, weight):
+    """Graph with one edge between every cross-part pair, constant weight."""
+    part_list = [list(p) for p in parts]
+    weights = {v: weight for p in part_list for v in p}
+    edges = [(u, v) for p, q in itertools.combinations(part_list, 2) for u in p for v in q]
+    return WeightedMultigraph(weights, edges)
+
+
+def adjacent_pairs(g):
+    """Sorted list of adjacent pairs ``(u, v)`` with ``u < v``."""
+    return [(u, v) for u, v, _ in g.edge_items()]
+
+
+def final_graph(cert):
+    """The last graph of ``cert.replay()``."""
+    *_, g = cert.replay()
+    return g
+
+
+def class_of(part, v):
+    """The one class of the partition ``part`` that holds ``v``."""
+    [cls] = [c for c in part if v in c]
+    return cls
+
+
 def assert_sorted_layout(g: WeightedMultigraph) -> None:
     """``g`` is laid out as the public constructor lays it out.
 
@@ -177,6 +202,10 @@ def _reference_search(g, failed, h, groups, name_index, anchors):
 
 
 __all__ = [
+    "adjacent_pairs",
+    "class_of",
+    "complete_multipartite",
+    "final_graph",
     "graphs",
     "multipartite_graphs",
     "certifiable_multipartite_graphs",

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import assert_sorted_layout
+from conftest import adjacent_pairs, assert_sorted_layout
 from horicert import (
     P2,
     BoundExceededError,
@@ -277,7 +277,7 @@ class TestClosedForms:
         for arr in _reference_arrangements():
             g = dual_graph(arr)
             assert_sorted_layout(g)
-            pairs = g.adjacent_pairs()
+            pairs = adjacent_pairs(g)
             if pairs:
                 u, v = pairs[len(pairs) // 2]
                 for merged in ("G", "m1", u, v):

@@ -10,12 +10,12 @@ from horicert import (
     ContractionCertificate,
     WeightedMultigraph,
     builtin,
-    complete_multipartite,
     contract_multipartite,
     dual_graph,
     general_lines,
     verify_certificate,
 )
+from conftest import complete_multipartite
 from horicert.cli import MAX_INPUT_BYTES, run
 from horicert import fixtures
 
@@ -401,6 +401,7 @@ class TestCertVerify:
             ("l", 0.0),
             ("merged", ["m1"]),
             ("merged", 1),
+            ("junk", 0),  # a fourth field
         ],
     )
     def test_ill_typed_step_is_malformed(self, capsys, tmp_path, field, value):
@@ -412,6 +413,22 @@ class TestCertVerify:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("steps", "", "steps must be an array, got str"),
+            ("steps", {}, "steps must be an array, got dict"),
+            ("junk", [], "unknown field 'junk'"),
+        ],
+    )
+    def test_malformed_certificate_document(self, capsys, tmp_path, field, value, message):
+        # an empty non-array is not read as no steps, and an unknown field is not read past
+        doc = {"initial": {"vertices": [{"id": "a", "wt": 5}], "edges": []}, "steps": []}
+        doc[field] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        assert invoke(capsys, "cert-verify", str(path)) == (3, "", f"horicert: error: malformed certificate document: {message}\n")
 
 
 class TestInputLimit:

@@ -20,7 +20,6 @@ from horicert import (
     absorb_submultigraph,
     brute_force_oracle,
     builtin,
-    complete_multipartite,
     contract,
     contract_multipartite,
     decide_contractible,
@@ -35,7 +34,7 @@ from horicert import (
     multipartite_partition,
     verify_certificate,
 )
-from conftest import reference_verify
+from conftest import complete_multipartite, final_graph, reference_verify
 from horicert import contraction
 from horicert.fixtures import load_certificate
 
@@ -137,7 +136,7 @@ class TestVerify:
         for name, final in (("K1", 10), ("K2", 12), ("K3", 14), ("K4", 16)):
             cert = load_certificate(name)
             assert verify_certificate(cert)
-            end = cert.final_graph()
+            end = final_graph(cert)
             assert end.is_singleton()
             assert end.weight(end.vertices[0]) == final
 
@@ -707,19 +706,19 @@ class TestAbsorb:
 class TestContractMultipartite:
     def test_five_lines_case_one(self):
         g = dual_graph(general_lines(5))
-        assert multipartite_partition(g).sizes() == (1, 1, 1, 1, 1)
+        assert tuple(map(len, multipartite_partition(g))) == (1, 1, 1, 1, 1)
         cert = contract_multipartite(g)
         assert verify_certificate(cert)
 
     def test_bipartite_arrangement_case_five(self):
         g = dual_graph(fibers_and_sections(0, 4, 4))
-        assert multipartite_partition(g).sizes() == (4, 4)
+        assert tuple(map(len, multipartite_partition(g))) == (4, 4)
         cert = contract_multipartite(g)
         assert verify_certificate(cert)
 
     def test_mixed_arrangement_case_one(self):
         g = dual_graph(fibers_and_sections(1, 3, 4))
-        assert multipartite_partition(g).sizes() == (1, 1, 1, 1, 3)
+        assert tuple(map(len, multipartite_partition(g))) == (1, 1, 1, 1, 3)
         cert = contract_multipartite(g)
         assert verify_certificate(cert)
 

@@ -9,7 +9,6 @@ from horicert import (
     UnknownVertexError,
     WeightedMultigraph,
     builtin,
-    complete_multipartite,
     dual_graph,
     fibers_and_sections,
     find_forbidden_triple,
@@ -17,6 +16,7 @@ from horicert import (
     general_lines,
     multipartite_partition,
 )
+from conftest import class_of, complete_multipartite
 from horicert.multigraph import MAX_DOT_EDGES
 
 
@@ -137,7 +137,7 @@ class TestConstruction:
     def test_zero_multiplicity_dropped(self):
         g = WeightedMultigraph({"a": 1, "b": 1}, [("a", "b", 0)])
         assert g.rdeg("a") == 0
-        assert g.adjacent_pairs() == []
+        assert list(g.edge_items()) == []
 
     def test_equality_and_hash(self):
         # builtin() shares one cached graph, so compare it with copies built
@@ -158,21 +158,21 @@ class TestMultipartite:
     def test_complete_graph_gives_singletons(self):
         part = multipartite_partition(builtin("K1"))
         assert part is not None
-        assert part.sizes() == (1, 1, 1, 1, 1)
+        assert tuple(map(len, part)) == (1, 1, 1, 1, 1)
 
     def test_bipartite_arrangement(self):
         g = dual_graph(fibers_and_sections(0, 4, 4))
         part = multipartite_partition(g)
         assert part is not None
-        assert part.sizes() == (4, 4)
-        assert part.class_of("F1") == frozenset({"F1", "F2", "F3", "F4"})
+        assert tuple(map(len, part)) == (4, 4)
+        assert class_of(part, "F1") == frozenset({"F1", "F2", "F3", "F4"})
 
     def test_three_vertex_path_is_the_bipartite_star(self):
         # No vertex of a--b--c has two non-neighbours, so no forbidden
         # triple exists: the path is complete bipartite with parts {a,c}/{b}.
         part = multipartite_partition(path(3))
         assert part is not None
-        assert part.classes == (frozenset({"b"}), frozenset({"a", "c"}))
+        assert part == (frozenset({"b"}), frozenset({"a", "c"}))
         assert find_forbidden_triple(path(3)) is None
 
     def test_four_vertex_path_is_not_multipartite(self):
@@ -189,13 +189,15 @@ class TestMultipartite:
         for u in g.vertices:
             for v in g.vertices:
                 if u < v:
-                    same = part.class_of(u) == part.class_of(v)
+                    same = class_of(part, u) == class_of(part, v)
                     assert same == (g.multiplicity(u, v) == 0)
 
     def test_edgeless_graph_is_one_class(self):
         g = WeightedMultigraph({"a": 1, "b": 2, "c": 3})
         part = multipartite_partition(g)
-        assert part.sizes() == (3,)
+        assert tuple(map(len, part)) == (3,)
+        # no vertex, no class: an empty partition, which is not None
+        assert multipartite_partition(WeightedMultigraph({})) == ()
 
 
 class TestSpanning:
@@ -309,6 +311,9 @@ class TestFormats:
     def test_malformed_document(self):
         with pytest.raises(GraphError):
             WeightedMultigraph.from_json_dict({"edges": []})
+        # an unknown field is refused, not read past
+        with pytest.raises(GraphError, match="^malformed graph document: unknown field 'junk'$"):
+            WeightedMultigraph.from_json_dict({"vertices": [], "edges": [], "junk": 1})
         with pytest.raises(GraphError):
             WeightedMultigraph.from_json_dict(
                 {"vertices": [{"id": "a", "wt": 1}, {"id": "a", "wt": 2}], "edges": []}
@@ -328,6 +333,10 @@ class TestFormats:
             ),
             # an id that cannot key the weight map fails while unpacking
             ([{"id": ["a"], "wt": 1}], [], GraphError, "malformed graph document: unhashable type: 'list'"),
+            # an empty non-array is not read as an empty array
+            ([{"id": "a", "wt": 1}, {"id": "b", "wt": 1}], "", GraphError, "malformed graph document: edges must be an array, got str"),
+            ({}, [], GraphError, "malformed graph document: vertices must be an array, got dict"),
+            ([{"id": "a", "wt": 5}], {}, GraphError, "malformed graph document: edges must be an array, got dict"),
         ],
     )
     def test_parse_error_messages(self, vertices, edges, error, message):
