@@ -54,12 +54,12 @@ class Arrangement:
     each role at most once, for ``n`` components in that role, and at
     least one component in all.
 
-    Only the three roles are constructible, so transversality and
-    base-point-freeness rest on the recorded general-position assumption
-    rather than on unverifiable claims about equations.  The check builds
-    each counted role's class and keeps it for :meth:`role_classes`; the
-    kept classes are not fields, so equality and hashing see only
-    ``surface`` and ``counts``.
+    Only the three roles are constructible, so transversality rests on the
+    recorded general-position assumption rather than on unverifiable claims
+    about equations; the smoothing check tests each role's class for
+    base-point-freeness.  The check builds each counted role's class and
+    keeps it for :meth:`role_classes`; the kept classes are not fields, so
+    equality and hashing see only ``surface`` and ``counts``.
     """
 
     surface: Surface
@@ -209,30 +209,30 @@ def check_arrangement_smoothing(arr: Arrangement) -> tuple[Obligation, contracti
     obligation tree plus the contraction certificate when one exists.
     """
     graph = dual_graph(arr)
-    minus_k_values = {v: graph.weight(v) for v in graph.vertices}
-    rdeg_values = {v: graph.rdeg(v) for v in graph.vertices}
-
+    classes = arr.role_classes()
+    # Base-point-free is nef here (Cox, Little, Schenck, Toric Varieties, 6.3): d >= 0 on P2;
+    # on F_N, a*F + b*T meets F in b and E = T - N*F in a, so a >= 0 and b >= 0.
     roles_ok = check(
         "lemma.zai_gen.classes_base_point_free",
-        True,
+        all(c >= 0 for cls, _ in classes.values() for c in cls.coeffs),
         detail="components restricted to line/fiber/section roles",
-        roles=sorted(role.value for role in arr.role_classes()),
+        roles=sorted(role.value for role in classes),
     )
-    min_wt = min(minus_k_values.values())
+    min_wt, wt_witness = min((w, v) for v, w in graph._weights.items())
     wt_ok = check(
         "lemma.zai_gen.weights_ge_2",
         min_wt >= 2,
         detail="-K.C_i >= 2 for every component",
         min_weight=min_wt,
-        witness=min(minus_k_values, key=lambda v: (minus_k_values[v], v)),
+        witness=wt_witness,
     )
-    min_rdeg = min(rdeg_values.values())
+    min_rdeg, rdeg_witness = min((len(row), v) for v, row in graph._adj.items())
     rdeg_ok = check(
         "lemma.zai_gen.rdeg_ge_4",
         min_rdeg >= 4,
         detail="every component meets at least four others",
         min_rdeg=min_rdeg,
-        witness=min(rdeg_values, key=lambda v: (rdeg_values[v], v)),
+        witness=rdeg_witness,
     )
 
     cert = None

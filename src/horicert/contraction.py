@@ -33,12 +33,12 @@ partition of the input's vertices into merged groups, as one int of 4
 bits per vertex, which fixes the state exactly and needs no isomorphism
 test.
 
-Verification and absorption replay their steps on merge groups of the
-input (see :class:`_Replay`), never copying or rewriting its rows, in
-O(m^2) time in total for ``m`` vertices.  :func:`contract`, the public
-one-step function, builds its child through the checking constructor;
-neither the search nor verification calls it, and
-:meth:`ContractionCertificate.replay` calls it once per step.
+Verification, absorption and the multipartite certifier check each step
+with :meth:`_Replay.step`, on merge groups of the input, never copying
+or rewriting its rows, in O(m^2) time in total for ``m`` vertices.
+:func:`contract`, the public one-step function, builds its child through
+the checking constructor; neither the search nor verification calls it,
+and :meth:`ContractionCertificate.replay` calls it once per step.
 
 The rule above is encoded once, in ``_admissible``, for the search,
 verification, absorption and :func:`feasible_l_range`.  The oracle is a
@@ -46,8 +46,8 @@ second, literal encoding that shares no code with it or with
 :func:`contract`, so it can catch a fault in either.  The seed
 certificates ``K1``..``K4`` and their graphs live only as JSON under
 ``fixtures/``.  :func:`lift_certificate` verifies its input on every
-call; :func:`contract_multipartite` renames a seed's steps unchecked and
-verifies each certificate it builds once, in full.
+call; :func:`contract_multipartite` renames a seed's steps and checks
+each step it returns once, on the one replay its absorption starts.
 """
 
 from __future__ import annotations
@@ -281,6 +281,20 @@ class _Replay:
         if deg < 3:
             self.low.add(merged)
 
+    def step(self, step: ContractionStep) -> bool:
+        """Merge ``step``'s pair if some ordering of it admits ``step.l``, else
+        return ``False``; an unknown vertex raises :class:`UnknownVertexError`."""
+        v, w = step.pair
+        for x in step.pair:
+            if x not in self.weights:
+                raise UnknownVertexError(f"step references missing vertex {x!r}")
+        mult = self.mult(v, w)
+        bounds = self.admissible(v, w, mult)
+        if bounds is None or not bounds[0] <= step.l <= max(bounds[1:]):
+            return False
+        self.merge(v, w, step.merged, mult)
+        return True
+
 
 def feasible_l_range(g: WeightedMultigraph, v: str, w: str) -> tuple[int, ...]:
     """All ``l`` for which contracting the ordered pair ``(v, w)`` is admissible.
@@ -315,26 +329,10 @@ def verify_certificate(cert: ContractionCertificate, require_singleton: bool = T
     in O(m^2) time with no adjacency row copied or rewritten.
     """
     state = _Replay(cert.initial)
-    for step in cert.steps:
-        v, w = step.pair
-        if v not in state.weights:
-            raise UnknownVertexError(f"step references missing vertex {v!r}")
-        if w not in state.weights:
-            raise UnknownVertexError(f"step references missing vertex {w!r}")
-        mult = state.mult(v, w)
-        bounds = state.admissible(v, w, mult)
-        if bounds is None:
-            return False
-        lo, hi_vw, hi_wv = bounds
-        if not lo <= step.l <= max(hi_vw, hi_wv):
-            return False
-        state.merge(v, w, step.merged, mult)
-    if require_singleton:
-        if len(state.weights) != 1:
-            return False
-        if sum(state.weights.values()) != cert.initial.total_weight():
-            return False
-    return True
+    if not all(map(state.step, cert.steps)):
+        return False
+    weights = state.weights
+    return not require_singleton or len(weights) == 1 and sum(weights.values()) == cert.initial.total_weight()
 
 
 # ------------------------------------------------------------------ search
@@ -716,18 +714,17 @@ def _absorb(g: WeightedMultigraph, kept: list[str]) -> tuple[tuple[ContractionSt
     """The absorption steps into the sorted vertex list ``kept``, and the
     replay they leave.  Every merge keeps the kept vertex's id, so the
     vertices left outside are those of ``g`` not yet absorbed; they go
-    smallest first, each into its smallest adjacent kept vertex."""
+    smallest first, each into its smallest adjacent kept vertex.  As every
+    weight is >= 2, ``(w, v)`` admits ``l = 0`` iff ``(v, w)`` does."""
     state = _Replay(g)
     steps = []
     for w in g.vertices:
         if w in kept:
             continue
-        v, mult = next(((u, m) for u in kept if (m := state.mult(w, u))), (None, 0))
-        bounds = None if v is None else state.admissible(w, v, mult)
-        if bounds is None or not bounds[0] == 0 <= bounds[1]:  # unreachable under the kept set's bound
+        v = next((u for u in kept if state.mult(w, u)), None)
+        if v is None or not state.step(step := ContractionStep((w, v), 0, v)):  # unreachable under the kept set's bound
             raise PreconditionError(f"absorption step for {w!r} is not admissible", witness=w)
-        steps.append(ContractionStep((w, v), 0, v))
-        state.merge(w, v, v, mult)
+        steps.append(step)
     return tuple(steps), state
 
 
@@ -739,9 +736,9 @@ def contract_multipartite(g: WeightedMultigraph) -> ContractionCertificate:
     absorbed graph, contracts everything else into the chosen set with
     ``l = 0`` steps, and finishes by lifting the seed's certificate along
     the spanning embedding.  It partitions ``g`` once and builds no
-    reduced graph; the seed and the embedding are checked only by the one
-    verification of the whole certificate, on every call.  Five shapes
-    cover all class counts:
+    reduced graph; each step is checked once, on the replay that the
+    absorption leaves, so the seed and the embedding are checked there.
+    Five shapes cover all class counts:
 
     * five or more classes: one vertex from each of five classes (``K1``);
     * four classes: 1+1+2+2 representatives (``K2``);
@@ -770,10 +767,10 @@ def contract_multipartite(g: WeightedMultigraph) -> ContractionCertificate:
         raise PreconditionError("graph has a single non-adjacency class, so no edges", witness=None)
     from .fixtures import load_certificate  # fixtures imports this module
 
-    prefix, _ = _absorb(g, sorted(picks))
+    prefix, state = _absorb(g, sorted(picks))
     embedding = {f"v{i}": p for i, p in enumerate(picks, 1)}
-    cert = ContractionCertificate(g, prefix + _rename_steps(load_certificate(shape).steps, embedding, set(picks)))
-    if not verify_certificate(cert):
+    lifted = _rename_steps(load_certificate(shape).steps, embedding, set(picks))
+    if not all(map(state.step, lifted)) or len(state.weights) != 1:
         raise GraphError("internal error: constructed certificate failed verification")
-    return cert
+    return ContractionCertificate(g, prefix + lifted)
 

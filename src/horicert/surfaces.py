@@ -254,7 +254,8 @@ def double_cover_chern(surface: Surface, half_class: DivClass) -> ChernData:
 
     * ``c1^2 = 2 * (K + L)^2``,
     * ``chi  = 2 + (L.L + L.K) / 2``,
-    * ``c2   = 12 * chi - c1^2``,
+    * ``c2   = 2 * c2(S) + B.(B + K)``, ``B = 2L``, from the Euler number
+      (``c2(P2) = 3``, ``c2(F_N) = 4``), which Noether's formula checks,
 
     with ``L = half_class``, for which ``|2L|`` must have a smooth member.
     On the plane that means ``d >= 0``.  On ``F_N``, ``L`` must be
@@ -280,7 +281,8 @@ def double_cover_chern(surface: Surface, half_class: DivClass) -> ChernData:
     kl = k + half_class
     c1_sq = 2 * intersect(kl, kl)
     chi = 2 + (intersect(half_class, half_class) + intersect(half_class, k)) // 2
-    return ChernData(c1_sq=c1_sq, c2=12 * chi - c1_sq, chi=chi)
+    b = 2 * half_class  # the branch curve
+    return ChernData(c1_sq=c1_sq, c2=2 * (3 if surface.is_plane else 4) + intersect(b, b + k), chi=chi)
 
 
 # The genus of a split double cover: empty branch divisor, two disjoint rational copies.

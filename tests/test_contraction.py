@@ -763,25 +763,24 @@ class TestContractMultipartite:
         assert len(cert.steps) == vertices - 1
         assert verify_certificate(cert)
 
-    def test_one_partition_and_one_verification_per_call(self, monkeypatch):
+    def test_one_partition_and_one_replay_per_call(self, monkeypatch):
         graphs = [dual_graph(general_lines(7)), dual_graph(general_lines(9)), dual_graph(fibers_and_sections(0, 4, 4))]
         for shape in ("K1", "K4"):
             load_certificate(shape)  # parsed once per process, before counting
         calls = []
-        for name in ("multipartite_partition", "verify_certificate"):
+        for name in ("multipartite_partition", "verify_certificate", "_Replay"):
             real = getattr(contraction, name)
             monkeypatch.setattr(contraction, name, lambda x, name=name, real=real: calls.append((name, id(x))) or real(x))
         built = []
         real_init = WeightedMultigraph.__init__
         monkeypatch.setattr(WeightedMultigraph, "__init__", lambda self, *args: built.append(args) or real_init(self, *args))
         certs = [contract_multipartite(g) for g in graphs]
-        # Per call: the partition of g, then the whole certificate returned,
-        # never a seed on its own; and no reduced graph is built.
-        assert calls == [
-            call for g, cert in zip(graphs, certs)
-            for call in (("multipartite_partition", id(g)), ("verify_certificate", id(cert)))
-        ]
+        # Per call: the partition of g, then one replay of g that checks
+        # every step returned; no verification of the certificate or of a
+        # seed on its own, and no reduced graph is built.
+        assert calls == [call for g in graphs for call in (("multipartite_partition", id(g)), ("_Replay", id(g)))]
         assert built == []
+        assert all(verify_certificate(cert) for cert in certs)
 
     def test_the_one_verification_rejects_a_bad_seed(self, monkeypatch):
         seed = load_certificate("K1")
@@ -789,6 +788,16 @@ class TestContractMultipartite:
         assert last.l == 3  # the last step needs l >= 3 (see decide_contractible)
         bad = ContractionCertificate(seed.initial, (*head, ContractionStep(last.pair, 2, last.merged)))
         monkeypatch.setattr("horicert.fixtures.load_certificate", lambda shape: bad)
+        with pytest.raises(GraphError, match="failed verification"):
+            contract_multipartite(dual_graph(general_lines(7)))
+
+    def test_the_one_verification_rejects_a_seed_that_stops_short(self, monkeypatch):
+        # Every step but the last is admissible, so only the one-vertex
+        # check at the end can reject it.
+        seed = load_certificate("K1")
+        short = ContractionCertificate(seed.initial, seed.steps[:-1])
+        assert verify_certificate(short, require_singleton=False)
+        monkeypatch.setattr("horicert.fixtures.load_certificate", lambda shape: short)
         with pytest.raises(GraphError, match="failed verification"):
             contract_multipartite(dual_graph(general_lines(7)))
 
