@@ -25,10 +25,11 @@ state that holds a vertex that can never be merged (weight <= 0, degree
 <= 3, or more edges to each neighbour than its weight and degree allow)
 or fewer than two vertices of weight >= 2, the two anchors that the last
 step needs.  It works on one mutable copy of the input's rows, weights
-and degrees: it judges each child in the one pass that builds the
-merged row, merges the pair in place, which changes only the rows of the
-pair and its neighbours and only the merged vertex's degree, and undoes
-the merge exactly on backtrack.  It keys its failure memo by the
+and degrees: it checks a child's merged vertex before the merge, then
+merges the pair in place, which changes only the rows of the pair and its
+neighbours and only the merged vertex's degree, judges each neighbour as
+it swaps that neighbour's entries, and undoes the merge exactly on a
+death or on backtrack.  It keys its failure memo by the
 partition of the input's vertices into merged groups, as one int of 4
 bits per vertex, which fixes the state exactly and needs no isomorphism
 test.
@@ -218,8 +219,11 @@ def _admissible(
     for x in low:
         if x != u and x != v:
             return None
-    lo = max(0, 3 - deg_u + mult, 3 - deg_v + mult)
-    return lo, min(mult - 1, wt_u - 1, wt_v - 2), min(mult - 1, wt_v - 1, wt_u - 2)
+    lo = mult + 3 - (deg_u if deg_u < deg_v else deg_v)
+    # min(wt(first) - 1, wt(second) - 2) is the first's term only when it is the lighter.
+    hi_uv = wt_u - 1 if wt_u < wt_v else wt_v - 2
+    hi_vu = wt_v - 1 if wt_v < wt_u else wt_u - 2
+    return lo if lo > 0 else 0, hi_uv if hi_uv < mult else mult - 1, hi_vu if hi_vu < mult else mult - 1
 
 
 class _Replay:
@@ -382,13 +386,16 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     weight ``>= 1`` and degree ``>= 4``, so the kernel is asked with an
     empty set of low-degree vertices.  :func:`_search` works on one copy
     of ``g``'s rows and weights, which it merges in place and splits again
-    on backtrack.  :func:`_child_row` judges a child before its pair is
-    merged, from the rows of the pair, and returns the merged row that the
-    merge then takes: merging ``u`` and ``v`` (merged weight ``>= 2``)
-    removes one anchor iff both weigh ``>= 2``, and only the rows of the
-    merged vertex and its neighbours change, so only they are checked; a
-    neighbour's row is scanned only when its edges to the merged vertex
-    exceed its own bound.
+    on backtrack.  Merging ``u`` and ``v`` (merged weight ``>= 2``) removes
+    one anchor iff both weigh ``>= 2``, and only the rows of the merged
+    vertex and its neighbours change, so only they are judged.  The merged
+    vertex is judged before the merge.  Its row sums to its degree ``d >=
+    4`` and its bound is ``d + wt - 4 >= d - 2``, so two neighbours, each
+    joined by more than the bound, would take more than ``2d - 4 >= d``
+    edges: it lacks a usable neighbour iff it has a single one and weighs
+    below 4.  Each neighbour keeps its weight and degree and is judged as
+    the merge swaps its entries for the pair; its row is scanned only when
+    its edges to the merged vertex exceed its own bound.
 
     *Memo.*  A state reached from ``g`` is fixed by the partition of
     ``g``'s vertices into merged groups, since weights and multiplicities
@@ -401,9 +408,11 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     Failed states are recorded as ``(g, partition)`` in ``memo``, which
     may be shared across calls, also for different graphs, to reuse
     failure knowledge; a state the rules reject is not recorded.  A child
-    found in the memo is skipped before it is judged: most children of a
-    long NO search were reached and failed before.  The rules and the memo
-    cut only failing subtrees, so the certificate depends on neither.
+    found in the memo is skipped before it is merged: most children of a
+    long NO search were reached and failed before.  The memo is probed
+    only when it holds an entry, so a search that never fails a state
+    never hashes ``g``.  The rules and the memo cut only failing subtrees,
+    so the certificate depends on neither.
     """
     n = len(g._weights)
     if n > MAX_SEARCH_VERTICES:
@@ -418,7 +427,7 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     deg, anchors = viable
     failed = memo if memo is not None else set()
     key = int("ba9876543210"[-n:], 16)  # every vertex alone
-    if (g, key) in failed:
+    if failed and (g, key) in failed:
         return None
     rows = {x: row.copy() for x, row in g._adj.items()}
     state = (g, failed, rows, dict(g._weights), deg, dict(zip(g._vertices, _ALONE)))
@@ -438,40 +447,12 @@ def _viability(h: WeightedMultigraph) -> tuple[dict[str, int], int] | None:
     for x, row in h._adj.items():
         w = wt[x]
         d = deg[x] = sum(row.values())
-        if w <= 0 or d <= 3 or min(row.values()) > d + w - 4:
+        # The least multiplicity is an integer at most the mean d / len(row),
+        # so it is at most d // len(row): min is needed only above the bound.
+        if w <= 0 or d <= 3 or d // len(row) > d + w - 4 and min(row.values()) > d + w - 4:
             return None
         anchors += w >= 2
     return (deg, anchors) if anchors >= 2 else None
-
-
-def _child_row(
-    adj: dict[str, dict[str, int]], wt: dict[str, int], deg: dict[str, int], anchors: int, u: str, v: str, mult: int
-) -> dict[str, int] | None:
-    """The merged vertex's row in the child of merging the pair ``u``,
-    ``v`` (joined by ``mult`` edges) of a state of three or more vertices
-    that :func:`_viability` accepts with ``anchors``, or ``None`` when
-    :func:`_viability` rejects that child; ``adj``, ``wt`` and ``deg`` hold
-    the state's rows, weights and degrees.  Decided before the pair is
-    merged, and the row is a new dict."""
-    if anchors - (wt[u] >= 2 and wt[v] >= 2) < 2:
-        return None
-    d = deg[u] + deg[v] - 2 * mult
-    if d <= 3:
-        return None
-    row = adj[u].copy()
-    del row[v]
-    for x, k in adj[v].items():
-        if x != u:
-            row[x] = row.get(x, 0) + k
-    if min(row.values()) > d + wt[u] + wt[v] - 4:
-        return None
-    for x, m in row.items():
-        # x swaps its neighbours u, v for the merged vertex, joined by m
-        # edges; it dies if that leaves it no usable neighbour.
-        bound_x = deg[x] + wt[x] - 4
-        if m > bound_x and all(k > bound_x for y, k in adj[x].items() if y != u and y != v):
-            return None
-    return row
 
 
 def _search(s: tuple, key: int, name_index: int, anchors: int) -> list[ContractionStep] | None:
@@ -486,12 +467,13 @@ def _search(s: tuple, key: int, name_index: int, anchors: int) -> list[Contracti
     copied once from ``g``, so ``g`` is never changed, and the degrees
     :func:`_viability` summed.  ``groups`` maps each current vertex to its
     group's lowest index in ``g.vertices`` and the int with a 1 in each
-    member's slot of the partition key.  A merge takes its row from
-    :func:`_child_row`, swaps each neighbour's entries for the pair for one
-    entry for the merged vertex, and changes no degree but the merged
-    vertex's (see :class:`_Replay`).  This frame splits the pair again
-    from its own locals when the child fails, so a state is left merged
-    only on success.
+    member's slot of the partition key.  A merge builds the merged row as
+    it swaps each neighbour's entries for the pair for one entry for the
+    merged vertex, and changes no degree but the merged vertex's (see
+    :class:`_Replay`); it stops at the first neighbour that dies.  This
+    frame splits the pair again from its own locals, at the neighbours
+    swapped so far, when the child dies or fails, so a state is left
+    merged only on success.
     """
     g, failed, rows, wt, deg, groups = s
     k = _fresh_index(wt, name_index)
@@ -515,28 +497,42 @@ def _search(s: tuple, key: int, name_index: int, anchors: int) -> list[Contracti
                 continue
             if len(order) == 2:
                 return [ContractionStep(pair, l, merged)]
+            # The child's rules on the merged vertex: two anchors, degree
+            # d >= 4, and a usable neighbour, which it lacks only with one
+            # neighbour and weight below 4 (see decide_contractible).
+            lost = wt_u >= 2 and wt_v >= 2
+            d = deg_u + deg_v - 2 * mult
+            row_v = rows[v]
+            if anchors - lost < 2 or d <= 3 or wt_u + wt_v < 4 and len(row_u.keys() | row_v.keys()) < 4:
+                continue
             group_u, group_v = groups[u], groups[v]
             (a, slots_a), (b, slots_b) = group_u, group_v
             child = key - (b - a) * slots_b if a < b else key - (a - b) * slots_a
-            if (g, child) in failed or (row := _child_row(rows, wt, deg, anchors, u, v, mult)) is None:
+            if failed and (g, child) in failed:
                 continue
             # Merge in place; the locals above keep what the split needs.
-            row_v = rows.pop(v)
-            del rows[u], wt[u], wt[v], deg[u], deg[v], groups[u], groups[v]
-            for x, m in row.items():
-                nbrs = rows[x]
-                nbrs.pop(u, None)
-                nbrs.pop(v, None)
-                nbrs[merged] = m
-            rows[merged] = row
+            del rows[u], rows[v], wt[u], wt[v], deg[u], deg[v], groups[u], groups[v]
+            rows[merged] = row = {}
             wt[merged] = wt_u + wt_v
-            deg[merged] = deg_u + deg_v - 2 * mult
+            deg[merged] = d
             groups[merged] = (min(a, b), slots_a + slots_b)
-            rest = _search(s, child, k + 1, anchors - (wt_u >= 2 and wt_v >= 2))
-            if rest is not None:
-                rest.insert(0, ContractionStep(pair, l, merged))
-                return rest
-            # The child failed: split the pair again.
+            around = row_u | row_v
+            del around[u], around[v]
+            for x in around:
+                # x swaps its entries for u and v for one entry for the
+                # merged vertex and keeps its weight and degree; it dies when
+                # none of its neighbours, the merged vertex included, is usable.
+                nbrs = rows[x]
+                m = row[x] = nbrs[merged] = nbrs.pop(u, 0) + nbrs.pop(v, 0)
+                if m > (bound := deg[x] + wt[x] - 4) and min(nbrs.values()) > bound:
+                    break
+            else:
+                rest = _search(s, child, k + 1, anchors - lost)
+                if rest is not None:
+                    rest.insert(0, ContractionStep(pair, l, merged))
+                    return rest
+            # The child failed or died: split the pair again, at the
+            # neighbours swapped so far.
             for x in rows.pop(merged):
                 nbrs = rows[x]
                 del nbrs[merged]

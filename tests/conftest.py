@@ -150,14 +150,13 @@ def reference_decide(g, memo=None):
         return None
     if g.vertex_count == 1:
         return contraction.ContractionCertificate(g, ())
-    viable = contraction._viability(g)
-    if viable is None:
+    if contraction._viability(g) is None:
         return None
     failed = memo if memo is not None else set()
     root = {x: 1 << i for i, x in enumerate(g.vertices)}
     if (g, reference_partition_key(root.values())) in failed:
         return None
-    steps = _reference_search(g, failed, g, root, 1, viable[1])
+    steps = _reference_search(g, failed, g, root, 1)
     return None if steps is None else contraction.ContractionCertificate(g, tuple(steps))
 
 
@@ -173,7 +172,7 @@ def reference_partition_key(masks):
     return key
 
 
-def _reference_search(g, failed, h, groups, name_index, anchors):
+def _reference_search(g, failed, h, groups, name_index):
     deg = {x: h.degree(x) for x in h.vertices}
     k = contraction._fresh_index(h, name_index)
     merged = f"m{k}"
@@ -187,14 +186,16 @@ def _reference_search(g, failed, h, groups, name_index, anchors):
             continue
         if h.vertex_count == 2:
             return [contraction.ContractionStep(pair, l, merged)]
-        if contraction._child_row(h._adj, h._weights, deg, anchors, u, v, mult) is None:
-            continue
         child = {x: mask for x, mask in groups.items() if x != u and x != v}
         child[merged] = groups[u] | groups[v]
         if (g, reference_partition_key(child.values())) in failed:
             continue
-        lost = h.weight(u) >= 2 and h.weight(v) >= 2
-        rest = _reference_search(g, failed, contract(h, pair, merged), child, k + 1, anchors - lost)
+        # The child is judged by the entry rules on the child graph itself,
+        # which the recursion then searches.
+        child_graph = contract(h, pair, merged)
+        if contraction._viability(child_graph) is None:
+            continue
+        rest = _reference_search(g, failed, child_graph, child, k + 1)
         if rest is not None:
             return [contraction.ContractionStep(pair, l, merged)] + rest
     failed.add((g, reference_partition_key(groups.values())))

@@ -347,21 +347,38 @@ class TestDecide:
 
     def test_merge_can_kill_a_neighbour(self):
         # v4 (weight 1, degree 4) is usable only through v1 and v2, each by
-        # one edge; merging them joins v4 to the merged vertex by 2 > 1
-        # edges.  The merged vertex, v3 and the anchors v1, v3 stay fine.
+        # one edge; merging them, the first admissible pair in sorted order,
+        # joins v4 to the merged vertex by 2 > 1 edges.  The merged vertex,
+        # v3 and the anchors stay fine, so only v4's death rejects that
+        # child: the search goes on to (v1, v3) and records no failed state.
         g = WeightedMultigraph(
-            {"v1": 2, "v2": 1, "v3": 3, "v4": 1},
+            {"v1": 1, "v2": 3, "v3": 4, "v4": 1},
             [("v1", "v2", 2), ("v1", "v3", 2), ("v1", "v4", 1), ("v2", "v3", 2), ("v2", "v4", 1), ("v3", "v4", 2)],
         )
-        assert feasible_l_range(g, "v2", "v1") == (0,)
-        deg, anchors = contraction._viability(g)
-        assert contraction._child_row(g._adj, g._weights, deg, anchors, "v1", "v2", 2) is None
+        assert feasible_l_range(g, "v1", "v2") == (0,)
         child = contract(g, ("v1", "v2"), "m1")
-        assert contraction._viability(child) is None
         assert [x for x in child.vertices if child.weight(x) + child.degree(x) - 4 < min(child._adj[x].values())] == ["v4"]
-        # Merging v1 and v4 instead is viable; the row comes back built.
-        row = contraction._child_row(g._adj, g._weights, deg, anchors, "v1", "v4", 1)
-        assert row == contract(g, ("v1", "v4"), "m1")._adj["m1"] == {"v2": 3, "v3": 4}
+        assert not brute_force_oracle(child)
+        memo = set()
+        cert = decide_contractible(g, memo=memo)
+        assert cert is not None and cert.steps[0] == ContractionStep(("v1", "v3"), 0, "m1")
+        assert memo == set()
+
+    def test_a_fresh_memo_never_hashes_the_graph(self, monkeypatch):
+        # A YES descent that never backtracks leaves its memo empty, so it
+        # has no reason to hash its graph, with no memo or a new one.
+        doc = json.loads((DATA / "yes-12.graph.json").read_text())
+        g = WeightedMultigraph.from_json_dict(doc)
+        expected = decide_contractible(g)
+        assert expected is not None and contraction._viability(g) is not None
+
+        def refuse(self):
+            raise AssertionError("the search hashed its graph")
+
+        monkeypatch.setattr(WeightedMultigraph, "__hash__", refuse)
+        g = WeightedMultigraph.from_json_dict(doc)
+        assert decide_contractible(g) == expected
+        assert decide_contractible(g, memo=set()) == expected
 
     @pytest.mark.parametrize(
         "weights, edges, contractible, failed",
@@ -433,7 +450,7 @@ class TestDecide:
         # 2,000 seeded 6-12-vertex graphs.  The YES count and the digest of
         # every certificate's steps (or null) are fixed values, so this pin
         # does not lean on the reference search in conftest, which shares
-        # _viability and _child_row with the search.  Memo sizes are not
+        # _viability and _admissible with the search.  Memo sizes are not
         # pinned here: pruning may change them, but not the certificates.
         rng = random.Random(7)
         digest = hashlib.sha256()
@@ -566,7 +583,7 @@ class TestOracle:
         def broken(*args, **kwargs):
             raise AssertionError("the oracle called the code it checks")
 
-        for name in ("_admissible", "_viability", "_child_row", "_search", "_Replay", "contract"):
+        for name in ("_admissible", "_viability", "_search", "_Replay", "contract"):
             monkeypatch.setattr(contraction, name, broken)
         assert brute_force_oracle(builtin("example-G")) is False
         assert brute_force_oracle(builtin("K1")) is True
