@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .multigraph import (
     BoundExceededError,
@@ -88,10 +88,10 @@ class PreconditionError(GraphError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class ContractionStep:
+class ContractionStep(NamedTuple):
     """One merge: ``pair`` in the ordering that satisfied the weight bounds,
-    the parameter ``l``, and the id given to the merged vertex."""
+    the parameter ``l``, and the id given to the merged vertex.  A
+    NamedTuple, so it equals (and hashes as) the tuple of its fields."""
 
     pair: tuple[str, str]
     l: int
@@ -309,7 +309,9 @@ def feasible_l_range(g: WeightedMultigraph, v: str, w: str) -> tuple[int, ...]:
     """
     if v == w or g.multiplicity(v, w) < 1:
         raise NotAdjacentError(f"vertices {v!r} and {w!r} are not adjacent")
-    bounds = _Replay(g).admissible(v, w, g._adj[v][w])
+    adj, wt = g._adj, g._weights
+    low = [x for x, row in adj.items() if len(row) < 3 and sum(row.values()) < 3]  # a row holds no zeros
+    bounds = _admissible(v, w, adj[v][w], wt[v], wt[w], sum(adj[v].values()), sum(adj[w].values()), low)
     if bounds is None:
         return ()
     lo, hi, _ = bounds
@@ -397,22 +399,22 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     the merge swaps its entries for the pair; its row is scanned only when
     its edges to the merged vertex exceed its own bound.
 
-    *Memo.*  A state reached from ``g`` is fixed by the partition of
-    ``g``'s vertices into merged groups, since weights and multiplicities
-    add up over groups.  The partition is one int below ``16 ** n`` for
-    ``n <= 12`` vertices: its 4-bit slot ``i``, hex digit ``i`` from the
-    right, holds the index in ``g.vertices`` of the lowest vertex in
-    vertex ``i``'s group, so every vertex alone reads ``0x...3210``.
-    Merging groups whose lowest indices are ``a < b`` subtracts ``b - a``
-    times the int with a 1 in the slot of each member of ``b``'s group.
-    Failed states are recorded as ``(g, partition)`` in ``memo``, which
-    may be shared across calls, also for different graphs, to reuse
-    failure knowledge; a state the rules reject is not recorded.  A child
-    found in the memo is skipped before it is merged: most children of a
-    long NO search were reached and failed before.  The memo is probed
-    only when it holds an entry, so a search that never fails a state
-    never hashes ``g``.  The rules and the memo cut only failing subtrees,
-    so the certificate depends on neither.
+    *Memo.*  A state reached from ``g`` is fixed by the partition of ``g``'s
+    vertices into merged groups, since weights and multiplicities add up
+    over groups.  The partition is one int below ``16 ** n`` for ``n <= 12``
+    vertices: its 4-bit slot ``i``, hex digit ``i`` from the right, holds
+    the index in ``g.vertices`` of the lowest vertex in vertex ``i``'s
+    group, so every vertex alone reads ``0x...3210``.  Merging groups whose
+    lowest indices are ``a < b`` subtracts ``b - a`` times the int with a 1
+    in the slot of each member of ``b``'s group.  Failed states are recorded
+    as ``(g, partition)`` in ``memo``, which may be shared across calls,
+    also for different graphs, to reuse failure knowledge; a state the rules
+    reject is not recorded.  With no ``memo``, the search sees one graph and
+    records ``(None, partition)``, so it never hashes ``g``.  A child found
+    in the memo is skipped before it is merged: most children of a long NO
+    search were reached and failed before.  The memo is probed only when
+    it holds an entry.  The rules and the memo cut only failing subtrees, so
+    the certificate depends on neither.
     """
     n = len(g._weights)
     if n > MAX_SEARCH_VERTICES:
@@ -425,12 +427,12 @@ def decide_contractible(g: WeightedMultigraph, memo: set | None = None) -> Contr
     if viable is None:
         return None
     deg, anchors = viable
-    failed = memo if memo is not None else set()
+    failed, owner = (set(), None) if memo is None else (memo, g)
     key = int("ba9876543210"[-n:], 16)  # every vertex alone
-    if failed and (g, key) in failed:
+    if failed and (owner, key) in failed:
         return None
     rows = {x: row.copy() for x, row in g._adj.items()}
-    state = (g, failed, rows, dict(g._weights), deg, dict(zip(g._vertices, _ALONE)))
+    state = (owner, failed, rows, dict(g._weights), deg, dict(zip(g._vertices, _ALONE)))
     steps = _search(state, key, 1, anchors)
     if steps is None:
         return None
@@ -455,29 +457,29 @@ def _viability(h: WeightedMultigraph) -> tuple[dict[str, int], int] | None:
     return (deg, anchors) if anchors >= 2 else None
 
 
-def _search(s: tuple, key: int, name_index: int, anchors: int) -> list[ContractionStep] | None:
+def _search(s: tuple, key: int, k: int, anchors: int) -> list[ContractionStep] | None:
     """The steps contracting the current state to a point, or ``None``
     after recording it in ``failed`` and leaving the state as it was;
     ``key`` is the state's partition key and the state, which passes both
     rules of :func:`decide_contractible`, has ``anchors`` anchors.
 
-    ``s`` is ``(g, failed, rows, wt, deg, groups)``, one per search and
-    changed in place.  ``rows``, ``wt`` and ``deg`` hold the adjacency
-    rows, weights and degrees of the current vertices: rows and weights
-    copied once from ``g``, so ``g`` is never changed, and the degrees
-    :func:`_viability` summed.  ``groups`` maps each current vertex to its
-    group's lowest index in ``g.vertices`` and the int with a 1 in each
-    member's slot of the partition key.  A merge builds the merged row as
-    it swaps each neighbour's entries for the pair for one entry for the
-    merged vertex, and changes no degree but the merged vertex's (see
-    :class:`_Replay`); it stops at the first neighbour that dies.  This
-    frame splits the pair again from its own locals, at the neighbours
-    swapped so far, when the child dies or fails, so a state is left
-    merged only on success.
+    ``s`` is ``(owner, failed, rows, wt, deg, groups)``, one per search and
+    changed in place, and ``failed`` holds ``(owner, key)`` pairs.
+    ``rows``, ``wt`` and ``deg`` hold the adjacency rows, weights and
+    degrees of the current vertices: rows and weights copied once from
+    ``g``, so ``g`` is never changed, and the degrees :func:`_viability`
+    summed.  ``groups`` maps each current vertex to its group's lowest index
+    in ``g.vertices`` and the int with a 1 in each member's slot of the
+    partition key.  A merge builds the merged row as it swaps each
+    neighbour's entries for the pair for one entry for the merged vertex,
+    and changes no degree but the merged vertex's (see :class:`_Replay`); it
+    stops at the first neighbour that dies.  This frame splits the pair
+    again from its own locals, at the neighbours swapped so far, when the
+    child dies or fails, so a state is left merged only on success.
     """
-    g, failed, rows, wt, deg, groups = s
-    k = _fresh_index(wt, name_index)
-    merged = f"m{k}"
+    owner, failed, rows, wt, deg, groups = s
+    while (merged := f"m{k}") in wt:
+        k += 1
     # Pairs in sorted order, as edge_items lists them.  Every merge below
     # is undone before the scan goes on, so one sorted list serves it all.
     order = sorted(wt)
@@ -508,7 +510,7 @@ def _search(s: tuple, key: int, name_index: int, anchors: int) -> list[Contracti
             group_u, group_v = groups[u], groups[v]
             (a, slots_a), (b, slots_b) = group_u, group_v
             child = key - (b - a) * slots_b if a < b else key - (a - b) * slots_a
-            if failed and (g, child) in failed:
+            if failed and (owner, child) in failed:
                 continue
             # Merge in place; the locals above keep what the split needs.
             del rows[u], rows[v], wt[u], wt[v], deg[u], deg[v], groups[u], groups[v]
@@ -545,7 +547,7 @@ def _search(s: tuple, key: int, name_index: int, anchors: int) -> list[Contracti
             wt[u], wt[v] = wt_u, wt_v
             deg[u], deg[v] = deg_u, deg_v
             groups[u], groups[v] = group_u, group_v
-    failed.add((g, key))
+    failed.add((owner, key))
     return None
 
 
@@ -561,19 +563,22 @@ def brute_force_oracle(g: WeightedMultigraph, max_total_multiplicity: int = 12) 
     every state (from ``_ORACLE_PAIRS``), every ordering and every ``l``,
     and ``_oracle_merge`` merges it.  They share no code with the search,
     :func:`contract` or the admissibility kernel, so agreement with the
-    search checks both.  No memo and no pruning; each shortcut is exact.
-    A pair with an admissible candidate is merged once: the merged graph
+    search checks both.  No memo and no pruning; each shortcut is exact.  A
+    pair with an admissible candidate is merged once: the merged graph
     depends on neither the ordering nor ``l``.  A two-vertex state is
-    answered by its one pair, whose merge leaves one vertex.  The root's
-    degrees, summed once, also give the multiplicity bound.  The bystander
-    rule is read once per state: a pair must hold every vertex of degree
-    below 3, so a state with more than two of them has no pair.  The
-    vertex bound ``ORACLE_MAX_VERTICES`` is fixed; the multiplicity bound
-    can be raised for exhaustive comparison runs.
+    answered by its one pair.  A three-vertex state answers that child of
+    its pair ``(a, b)`` in place: every edge of the third vertex ``c`` goes
+    to ``a`` or ``b``, so the child's pair weighs ``wt[a] + wt[b]`` and
+    ``wt[c]``, has multiplicity ``deg[c]``, the whole degree of both ends,
+    and needs ``l >= 3``.  The root's degrees, summed once, also give the
+    multiplicity bound.  The bystander rule is read once per state: a pair
+    must hold every vertex of degree below 3, so a state with more than two
+    of them has no pair.  ``ORACLE_MAX_VERTICES`` is fixed; the multiplicity
+    bound can be raised for exhaustive comparison runs.
     """
-    if g.vertex_count > ORACLE_MAX_VERTICES:
+    if len(g._adj) > ORACLE_MAX_VERTICES:
         raise BoundExceededError(f"oracle limited to {ORACLE_MAX_VERTICES} vertices")
-    names = g.vertices
+    names = g._vertices
     matrix = [[row.get(y, 0) for y in names] for row in g._adj.values()]
     deg = [sum(row) for row in matrix]
     if sum(deg) > 2 * max_total_multiplicity:
@@ -598,8 +603,13 @@ def _oracle_exhaust(wt: list[int], m: list[list[int]], deg: list[int]) -> bool:
                 break
         else:
             continue
-        if n == 2 or _oracle_exhaust(*_oracle_merge(wt, m, a, b)):
+        if n == 2 or n > 3 and _oracle_exhaust(*_oracle_merge(wt, m, a, b)):
             return True
+        if n == 3:  # the two-vertex child, in place (see brute_force_oracle)
+            c = 3 - a - b
+            for l in range(3, deg[c]):
+                if wa + wb >= l + 1 and wt[c] >= l + 2 or wt[c] >= l + 1 and wa + wb >= l + 2:
+                    return True
     return False
 
 

@@ -100,6 +100,19 @@ class TestContract:
         assert g2.total_multiplicity() == g.total_multiplicity() - g.multiplicity("v1", "v2")
 
 
+class TestStep:
+    def test_a_step_is_the_tuple_of_its_fields(self):
+        step = ContractionStep(("a", "b"), 0, "m1")
+        assert repr(step) == "ContractionStep(pair=('a', 'b'), l=0, merged='m1')"
+        assert step.to_json_dict() == {"pair": ["a", "b"], "l": 0, "merged": "m1"}
+        assert ContractionStep.from_json_dict(json.loads(json.dumps(step.to_json_dict()))) == step
+        again = ContractionStep(("a", "b"), 0, "m1")
+        assert step == again == (("a", "b"), 0, "m1") and hash(step) == hash(again)
+        assert step != ContractionStep(("a", "b"), 1, "m1")
+        with pytest.raises(AttributeError):
+            step.l = 1
+
+
 class TestFeasibleRange:
     def test_example_graph_needs_l_1(self):
         assert feasible_l_range(builtin("example-G"), "v1", "v2") == (1,)
@@ -129,6 +142,24 @@ class TestFeasibleRange:
         g = WeightedMultigraph({"a": 1, "b": 1})
         with pytest.raises(NotAdjacentError):
             feasible_l_range(g, "a", "b")
+
+    def test_answers_one_pair_without_a_replay(self, monkeypatch):
+        # One pair needs its own weights and degrees and the vertices of
+        # degree below 3, not a replay of the whole graph.  Bystander c has
+        # two neighbours but degree 3, so it is not low; the isolated d is.
+        cases = [
+            (builtin("example-G"), "v1", "v2", (1,)),
+            (dual_graph(general_lines(8)), "L1", "L2", (0,)),
+            (WeightedMultigraph({"a": 5, "b": 5, "c": 5}, [("a", "b", 4), ("a", "c", 2), ("b", "c", 1)]), "a", "b", (2, 3)),
+            (WeightedMultigraph({"a": 5, "b": 5, "c": 5, "d": 1}, [("a", "b", 4), ("a", "c", 2), ("b", "c", 2)]), "a", "b", ()),
+        ]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("feasible_l_range built a replay")
+
+        monkeypatch.setattr(contraction, "_Replay", broken)
+        for g, v, w, expected in cases:
+            assert feasible_l_range(g, v, w) == expected
 
 
 class TestVerify:
@@ -379,6 +410,25 @@ class TestDecide:
         g = WeightedMultigraph.from_json_dict(doc)
         assert decide_contractible(g) == expected
         assert decide_contractible(g, memo=set()) == expected
+
+    def test_a_private_memo_never_hashes_the_graph(self, monkeypatch):
+        # A NO graph that passes the entry rules and fails 7 states.  With
+        # no memo given, the search sees one graph, so its failure entries
+        # do not name it and the graph is never hashed.
+        weights = {"v1": 1, "v2": 1, "v3": 3, "v4": 3}
+        edges = [("v1", "v2", 3), ("v1", "v3", 1), ("v1", "v4", 2), ("v2", "v3", 1), ("v2", "v4", 3), ("v3", "v4", 2)]
+        memo = set()
+        assert decide_contractible(WeightedMultigraph(weights, edges), memo=memo) is None
+        assert len(memo) == 7
+
+        def refuse(self):
+            raise AssertionError("the search hashed its graph")
+
+        monkeypatch.setattr(WeightedMultigraph, "__hash__", refuse)
+        g = WeightedMultigraph(weights, edges)
+        assert contraction._viability(g) is not None
+        assert decide_contractible(g) is None
+        assert brute_force_oracle(g) is False
 
     @pytest.mark.parametrize(
         "weights, edges, contractible, failed",

@@ -153,6 +153,9 @@ class TestDoubleCoverChern:
         assert (data.c1_sq, data.chi, data.c2) == (8, 7, 76)
         assert data.c2 == 5 * data.c1_sq + 36
         assert data.horikawa_case() == "even"
+        # q = 0, so p_g = chi - 1: the Noether line K^2 = 2 p_g - 4, by a third route
+        p_g = data.chi - 1
+        assert p_g == 6 and data.c1_sq == 2 * p_g - 4
 
     def test_branch_degree_six_is_k3(self):
         data = double_cover_chern(P2, P2.div(3))
